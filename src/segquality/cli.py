@@ -21,13 +21,14 @@ from .pipeline import (
     process_stream,
     read_feature_csv,
     read_tracking_csv,
+    stream_segments,
     write_feature_csv,
     write_segment_csv,
     write_tracking_csv,
 )
 from .synth import SynthConfig, generate_stream
 from .tensor_io import ManifestError, TensorFormatError, read_manifest
-from .tracking import TrackingParams
+from .tracking import TrackingParams, track_stream
 
 
 def _fail(message: str) -> None:
@@ -128,25 +129,21 @@ def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, 
             f"--m must be in [0, {manifest.num_blocks - 1}] for this stream, "
             f"got {num_stability}"
         )
+    segments_by_frame = [] if segments_csv else None
     rows_by_frame, _ = process_stream(
-        manifest, num_stability, params=None, with_gt=not no_gt
+        manifest,
+        num_stability,
+        params=None,
+        with_gt=not no_gt,
+        segments_by_frame=segments_by_frame,
     )
     if tracking_path:
         apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
     write_feature_csv(rows_by_frame, out, manifest.num_classes, num_stability)
     if segments_csv:
-        from . import heatmaps, segmentation
-
-        segments_by_frame = []
-        track_table = read_tracking_csv(tracking_path) if tracking_path else {}
-        for frame_index in range(manifest.num_frames):
-            labels = heatmaps.predicted_labels(manifest.load_softmax(frame_index))
-            segments = segmentation.connected_components(labels, frame_index)
-            for seg in segments:
-                entry = track_table.get((frame_index, seg.component_index))
-                if entry:
-                    seg.track_id = entry[0]
-            segments_by_frame.append(segments)
+        for segments, rows in zip(segments_by_frame, rows_by_frame):
+            for segment, row in zip(segments, rows):
+                segment.track_id = row.track_id
         write_segment_csv(segments_by_frame, segments_csv)
     total = sum(len(rows) for rows in rows_by_frame)
     click.echo(f"wrote {total} segment rows to {out}")
@@ -157,10 +154,11 @@ def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, 
 @click.option("--out", required=True, type=click.Path(), help="tracking CSV path")
 @_tracking_options
 def track_cmd(manifest_path, out, c_near, c_over, c_dist, c_lin, window):
-    """Assign persistent track ids across the stream."""
+    """Assign persistent track ids across the stream (labels and segments only)."""
     manifest = _load_manifest(manifest_path)
     params = _params_from(c_near, c_over, c_dist, c_lin, window)
-    _, assignments = process_stream(manifest, 0, params=params, with_gt=False)
+    shape = (manifest.height, manifest.width)
+    assignments = track_stream(stream_segments(manifest), params, shape)
     write_tracking_csv(assignments, out)
     total = sum(len(a) for a in assignments)
     click.echo(f"wrote {total} assignments to {out}")

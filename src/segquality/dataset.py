@@ -135,6 +135,12 @@ def build_time_series(
             masks.append(slot_mask)
             ious.append(row.iou_adj)
 
+    missing = int(np.isnan(ious).sum())
+    if missing:
+        raise ValueError(
+            f"{missing} records have no quality target (iou_adj is NaN): "
+            "features extracted with --no-gt cannot build a dataset"
+        )
     n = len(frames)
     return MetaRecordTable(
         num_classes=num_classes,

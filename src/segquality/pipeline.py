@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -18,7 +19,7 @@ def extract_frame(
     gt_labels: np.ndarray | None,
     frame_index: int,
     num_stability: int,
-) -> tuple[list[segmentation.Segment], list[SegmentFeatures]]:
+) -> tuple[segmentation.FrameSegments, list[SegmentFeatures]]:
     """Segments and feature rows for one frame.
 
     `num_stability` selects how many stability heatmaps go into the canonical
@@ -26,8 +27,7 @@ def extract_frame(
     """
     labels = heatmaps.predicted_labels(softmax)
     segments = segmentation.connected_components(labels, frame_index)
-    entropy_map, varratio_map, margin_map = heatmaps.dispersion_heatmaps(softmax)
-    stability_maps = []
+    maps = list(heatmaps.dispersion_heatmaps(softmax))
     if num_stability > 0:
         if cell_stack is None:
             raise ValueError("cell states required when num_stability > 0")
@@ -37,31 +37,31 @@ def extract_frame(
                 f"stream provides {len(stability_maps)} stability maps, "
                 f"requested {num_stability}"
             )
-    gt_components = None
+        maps += stability_maps
+    features = seg_metrics.frame_features(segments, np.stack(maps), softmax)
     if gt_labels is not None:
-        gt_components = segmentation.label_components(gt_labels)
-    rows = []
-    for segment in segments:
-        vector = seg_metrics.assemble_features(
-            segment, entropy_map, varratio_map, margin_map, stability_maps, softmax
+        ious = seg_metrics.frame_adjusted_iou(
+            segments.comp_map,
+            np.array([s.class_id for s in segments]),
+            gt_labels,
+            segmentation.label_components(gt_labels),
         )
-        if gt_labels is not None:
-            iou = seg_metrics.adjusted_iou(segment, gt_labels, gt_components)
-        else:
-            iou = float("nan")
-        rows.append(
-            SegmentFeatures(
-                frame_index=frame_index,
-                component_index=segment.component_index,
-                class_id=segment.class_id,
-                size=segment.size,
-                size_inner=segment.size_inner,
-                iou_adj=iou,
-                features=vector,
-                num_classes=softmax.shape[2],
-                num_stability=num_stability,
-            )
+    else:
+        ious = np.full(len(segments), np.nan)
+    rows = [
+        SegmentFeatures(
+            frame_index=frame_index,
+            component_index=segment.component_index,
+            class_id=segment.class_id,
+            size=segment.size,
+            size_inner=segment.size_inner,
+            iou_adj=float(iou),
+            features=vector,
+            num_classes=softmax.shape[2],
+            num_stability=num_stability,
         )
+        for segment, vector, iou in zip(segments, features, ious)
+    ]
     return segments, rows
 
 
@@ -70,11 +70,14 @@ def process_stream(
     num_stability: int,
     params: tracking.TrackingParams | None = None,
     with_gt: bool = True,
+    segments_by_frame: list | None = None,
 ):
     """One pass over a stream: per-frame feature rows plus track assignments.
 
     Returns (rows_by_frame, assignments_by_frame); assignments are None when
     no tracking parameters are given.  Track ids are filled into the rows.
+    When a `segments_by_frame` list is given, each frame's segments are
+    appended to it.
     """
     if not 0 <= num_stability <= manifest.num_blocks - 1:
         raise ValueError(
@@ -102,8 +105,17 @@ def process_stream(
             for row in rows:
                 row.track_id = by_component[row.component_index]
             assignments_by_frame.append(assignments)
+        if segments_by_frame is not None:
+            segments_by_frame.append(segments)
         rows_by_frame.append(rows)
     return rows_by_frame, assignments_by_frame
+
+
+def stream_segments(manifest: StreamManifest):
+    """Each frame's predicted segments, one frame at a time."""
+    for frame_index in range(manifest.num_frames):
+        labels = heatmaps.predicted_labels(manifest.load_softmax(frame_index))
+        yield segmentation.connected_components(labels, frame_index)
 
 
 def assemble_dataset(
@@ -193,12 +205,25 @@ def read_tracking_csv(path):
 
 
 def apply_tracking(rows_by_frame, track_table) -> None:
-    """Fill track ids from a tracking CSV lookup into feature rows."""
+    """Fill track ids from a tracking CSV lookup into feature rows.
+
+    Rows the lookup does not cover keep the track id they had (-1 unless
+    tracked before); a warning gives their count.
+    """
+    missing = 0
     for rows in rows_by_frame:
         for row in rows:
             entry = track_table.get((row.frame_index, row.component_index))
             if entry is not None:
                 row.track_id = entry[0]
+            else:
+                missing += 1
+    if missing:
+        warnings.warn(
+            f"{missing} feature rows have no entry in the tracking CSV and "
+            "keep their previous track id (-1 when untracked)",
+            stacklevel=2,
+        )
 
 
 def write_segment_csv(segments_by_frame, path):

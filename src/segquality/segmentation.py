@@ -98,7 +98,17 @@ def inner_mask(comp_map: np.ndarray) -> np.ndarray:
     return out
 
 
-def connected_components(labels: np.ndarray, frame_index: int = 0) -> list[Segment]:
+class FrameSegments(list):
+    """A frame's segments in component order, plus the component map and
+    interior mask they were cut from, for frame-level reductions."""
+
+    def __init__(self, segments, comp_map: np.ndarray, inner: np.ndarray):
+        super().__init__(segments)
+        self.comp_map = comp_map
+        self.inner = inner
+
+
+def connected_components(labels: np.ndarray, frame_index: int = 0) -> FrameSegments:
     """Partition a label frame into Segment records (raster-deterministic order)."""
     labels = np.asarray(labels)
     comp_map = label_components(labels)
@@ -125,7 +135,7 @@ def connected_components(labels: np.ndarray, frame_index: int = 0) -> list[Segme
                 center=center,
             )
         )
-    return segments
+    return FrameSegments(segments, comp_map, inner)
 
 
 def split_inner_boundary(segment: Segment, labels: np.ndarray):

@@ -12,6 +12,7 @@ group per frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,11 +315,12 @@ def track_frame(
 
 
 def track_stream(
-    per_frame_segments: list[list[Segment]],
+    per_frame_segments: Iterable[list[Segment]],
     params: TrackingParams,
     frame_shape,
 ) -> list[list[TrackAssignment]]:
-    """Track a whole sequence of per-frame segment lists."""
+    """Track a whole sequence of per-frame segment lists (any iterable, so a
+    generator can produce one frame at a time)."""
     state = TrackState()
     results = []
     for frame_index, segments in enumerate(per_frame_segments):

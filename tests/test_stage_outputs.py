@@ -1,0 +1,138 @@
+"""CLI stage outputs: the label-only track stage, the segment table, and the
+errors and warnings for inputs that cannot make a complete dataset."""
+
+import os
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from segquality import heatmaps, seg_metrics
+from segquality.cli import main
+from segquality.dataset import build_time_series
+from segquality.pipeline import (
+    apply_tracking,
+    process_stream,
+    read_feature_csv,
+    read_tracking_csv,
+    write_tracking_csv,
+)
+from segquality.synth import SynthConfig, generate_stream
+from segquality.tracking import TrackingParams
+from test_cli import SYNTH_ARGS
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return CliRunner()
+
+
+@pytest.fixture(scope="module")
+def small_dir(runner, tmp_path_factory):
+    """The test_cli stream, tracked, with features extracted with ground truth
+    and tracking, and without either."""
+    root = tmp_path_factory.mktemp("stages")
+    manifest = root / "stream" / "manifest.json"
+    steps = [
+        SYNTH_ARGS + ["--out", str(root / "stream")],
+        ["track", "--manifest", str(manifest), "--out", str(root / "tracking.csv")],
+        [
+            "extract", "--manifest", str(manifest),
+            "--out", str(root / "features.csv"), "--m", "3",
+            "--tracking", str(root / "tracking.csv"),
+            "--segments-csv", str(root / "segments.csv"),
+        ],
+        [
+            "extract", "--manifest", str(manifest),
+            "--out", str(root / "features_nogt.csv"), "--m", "3", "--no-gt",
+        ],
+    ]
+    for args in steps:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    return root
+
+
+def test_segment_csv_is_byte_identical_to_recorded_output(small_dir):
+    # recorded from the per-segment implementation that re-labeled each frame
+    with open(os.path.join(DATA, "segments_seed9.csv"), "rb") as fh:
+        expected = fh.read()
+    assert (small_dir / "segments.csv").read_bytes() == expected
+
+
+def test_track_stage_matches_process_stream_on_default_stream(
+    runner, tmp_path_factory
+):
+    root = tmp_path_factory.mktemp("default_stream")
+    manifest = generate_stream(SynthConfig(), root / "stream")
+    out = root / "tracking_cli.csv"
+    manifest_path = root / "stream" / "manifest.json"
+    result = runner.invoke(
+        main, ["track", "--manifest", str(manifest_path), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    _, assignments = process_stream(manifest, 0, TrackingParams())
+    reference = root / "tracking_process_stream.csv"
+    write_tracking_csv(assignments, reference)
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_track_stage_computes_no_features(runner, small_dir, monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the track stage computed a feature input")
+
+    monkeypatch.setattr(heatmaps, "dispersion_heatmaps", forbidden)
+    monkeypatch.setattr(heatmaps, "stability_heatmaps", forbidden)
+    monkeypatch.setattr(seg_metrics, "frame_features", forbidden)
+    manifest = small_dir / "stream" / "manifest.json"
+    out = tmp_path / "tracking.csv"
+    result = runner.invoke(
+        main, ["track", "--manifest", str(manifest), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (small_dir / "tracking.csv").read_bytes()
+
+
+def test_no_gt_features_cannot_build_a_dataset(small_dir):
+    rows_by_frame = read_feature_csv(small_dir / "features_nogt.csv", 8, 3)
+    assert all(np.isnan(row.iou_adj) for rows in rows_by_frame for row in rows)
+    with pytest.raises(ValueError, match="--no-gt"):
+        build_time_series(rows_by_frame, 0, 8, 3)
+
+
+def test_dataset_cli_rejects_no_gt_features(runner, small_dir, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "dataset",
+            "--features", str(small_dir / "features_nogt.csv"),
+            "--tracking", str(small_dir / "tracking.csv"),
+            "--out", str(tmp_path / "dataset.csv"),
+            "--header", str(tmp_path / "dataset.json"),
+            "--classes", "8", "--m", "3",
+        ],
+    )
+    assert result.exit_code != 0
+    assert "--no-gt" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_truncated_tracking_csv_warns_with_count(small_dir, tmp_path):
+    lines = (small_dir / "tracking.csv").read_text().splitlines(keepends=True)
+    truncated = tmp_path / "tracking.csv"
+    truncated.write_text("".join(lines[:-5]))
+    rows_by_frame = read_feature_csv(small_dir / "features_nogt.csv", 8, 3)
+    with pytest.warns(UserWarning, match="^5 feature rows have no entry"):
+        apply_tracking(rows_by_frame, read_tracking_csv(truncated))
+    untracked = [row for rows in rows_by_frame for row in rows if row.track_id < 0]
+    assert len(untracked) == 5
+
+
+def test_complete_tracking_csv_does_not_warn(small_dir, recwarn):
+    rows_by_frame = read_feature_csv(small_dir / "features_nogt.csv", 8, 3)
+    apply_tracking(rows_by_frame, read_tracking_csv(small_dir / "tracking.csv"))
+    assert all(row.track_id >= 0 for rows in rows_by_frame for row in rows)
+    assert not [w for w in recwarn if "tracking CSV" in str(w.message)]
