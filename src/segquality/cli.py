@@ -10,11 +10,10 @@ import dataclasses
 import json
 
 import click
-import numpy as np
 
-from .dataset import SplitSpec, read_dataset, split_indices, standardize, write_dataset
-from .evaluation import run_experiment, run_time_series_experiment
-from .meta_models import FAMILIES, TASKS, ModelSpec, train_model
+from .dataset import SplitSpec, read_dataset, write_dataset
+from .evaluation import fit_split, run_experiment, run_time_series_experiment
+from .meta_models import FAMILIES, TASKS, ModelSpec
 from .pipeline import (
     apply_tracking,
     assemble_dataset,
@@ -26,6 +25,7 @@ from .pipeline import (
     write_segment_csv,
     write_tracking_csv,
 )
+from .seg_metrics import feature_names
 from .synth import SynthConfig, generate_stream
 from .tensor_io import ManifestError, TensorFormatError, read_manifest
 from .tracking import TrackingParams, track_stream
@@ -201,7 +201,6 @@ def dataset_cmd(
 @click.option("--m", "num_stability", default=0, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--run", default=0, show_default=True, type=int, help="split run index")
-@click.option("--runs", default=10, show_default=True, type=int)
 @click.option("--sample-size", default=None, type=int)
 @click.option("--epochs", default=200, show_default=True, type=int)
 def train_cmd(
@@ -213,51 +212,33 @@ def train_cmd(
     num_stability,
     seed,
     run,
-    runs,
     sample_size,
     epochs,
 ):
-    """Train one meta model on one deterministic split."""
+    """Train one meta model on one deterministic split.
+
+    With the same --seed and --sample-size, split --run r and its model inputs
+    are those of eval's run r.  The model file also records the input layout
+    and the standardizer.
+    """
     table = read_dataset(dataset_path, header_path)
-    if num_stability > table.num_stability:
-        _fail(
-            f"--m must be in [0, {table.num_stability}] for this dataset, "
-            f"got {num_stability}"
-        )
-    split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
+    spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
+    split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
     try:
-        train_idx, val_idx, test_idx = split_indices(len(table), split_spec, run)
+        model, test, (mean, std) = fit_split(
+            table, spec, num_stability, split_spec, run
+        )
     except ValueError as exc:
         _fail(str(exc))
-    flat = table.flat_features(num_stability)
-    flat_tr, flat_va, _, _, _ = standardize(
-        flat[train_idx], flat[val_idx], flat[test_idx]
-    )
-    y = table.labels if task == "classification" else table.iou
-    spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
-    if family == "shallow_lstm":
-        steps = table.history + 1
-        dim = table.slot_dim(num_stability)
-        train_data = (
-            flat_tr.reshape(-1, steps, dim)[:, ::-1, :].copy(),
-            table.mask[train_idx][:, ::-1].copy(),
-            y[train_idx],
-        )
-        val_data = (
-            flat_va.reshape(-1, steps, dim)[:, ::-1, :].copy(),
-            table.mask[val_idx][:, ::-1].copy(),
-            y[val_idx],
-        )
-    else:
-        train_data = (
-            np.concatenate([flat_tr, table.mask[train_idx]], axis=1),
-            y[train_idx],
-        )
-        val_data = (
-            np.concatenate([flat_va, table.mask[val_idx]], axis=1),
-            y[val_idx],
-        )
-    model = train_model(spec, train_data, val_data)
+    model.metadata["inputs"] = {
+        "num_stability": num_stability,
+        "history": table.history,
+        "feature_names": feature_names(table.num_classes, num_stability),
+        # test is (X, y) or (sequence, mask, y)
+        "layout": "flat+mask" if len(test) == 2 else "sequence_oldest_first",
+        "mean": mean.tolist(),
+        "std": std.tolist(),
+    }
     model.save(out)
     click.echo(f"trained {family}/{task} on run {run}, saved to {out}")
 

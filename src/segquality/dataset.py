@@ -61,26 +61,11 @@ class MetaRecordTable:
     def __len__(self) -> int:
         return len(self.iou)
 
-    def slot_dim(self, num_stability: int) -> int:
-        return feature_count(self.num_classes, num_stability)
-
-    def slot_features(self, num_stability: int) -> np.ndarray:
-        """(n, T+1, d_m) view restricted to the first m stability blocks."""
-        return self.features[:, :, : self.slot_dim(num_stability)]
-
     def flat_features(self, num_stability: int) -> np.ndarray:
-        """Per-record concatenation of all history slots (no mask columns)."""
-        sliced = self.slot_features(num_stability)
-        return sliced.reshape(len(self), -1)
-
-    def flat_inputs(self, num_stability: int) -> np.ndarray:
-        """Inputs for non-sequential models: slot features plus mask columns."""
-        return np.concatenate([self.flat_features(num_stability), self.mask], axis=1)
-
-    def sequence_inputs(self, num_stability: int):
-        """(features, mask) ordered oldest-first for the recurrent meta model."""
-        sliced = self.slot_features(num_stability)
-        return sliced[:, ::-1, :].copy(), self.mask[:, ::-1].copy()
+        """Per-record concatenation of all history slots, each cut to its
+        first m stability blocks (no mask columns)."""
+        dim = feature_count(self.num_classes, num_stability)
+        return self.features[:, :, :dim].reshape(len(self), -1)
 
 
 def build_time_series(

@@ -190,66 +190,85 @@ class EvalReport:
         raise KeyError(f"no cell for {family}/{task}/m={num_stability}/T={history}")
 
 
-def _prepare_split(table: MetaRecordTable, num_stability: int, spec: SplitSpec, run: int):
-    """Split, standardize with train statistics, and lay out model inputs."""
-    train_idx, val_idx, test_idx = split_indices(len(table), spec, run)
+def _check_m(table: MetaRecordTable, num_stability: int) -> None:
+    if not 0 <= num_stability <= table.num_stability:
+        raise ValueError(
+            f"m={num_stability} outside [0, {table.num_stability}] for this dataset"
+        )
+
+
+def _prepare_split(
+    table: MetaRecordTable,
+    model_spec: ModelSpec,
+    num_stability: int,
+    split_spec: SplitSpec,
+    run: int,
+    feature_slice: slice | None = None,
+):
+    """Split, standardize with train statistics, and lay out model inputs.
+
+    Each of the returned train/val/test parts has the shape `train_model`
+    takes for `model_spec.family`: (features with mask columns appended, y),
+    or (slots oldest first, mask oldest first, y) for the LSTM.  y is the
+    zero-IoU label or the IoU, by task.  Also returns the (mean, std) the
+    flat features were standardized with.
+    """
+    _check_m(table, num_stability)
+    indices = split_indices(len(table), split_spec, run)
     flat = table.flat_features(num_stability)
-    flat_tr, flat_va, flat_te, mean, std = standardize(
-        flat[train_idx], flat[val_idx], flat[test_idx]
-    )
-    mask = table.mask
+    *scaled, mean, std = standardize(*(flat[idx] for idx in indices))
+    y = table.labels if model_spec.task == "classification" else table.iou
     steps = table.history + 1
-    dim = table.slot_dim(num_stability)
+    dim = flat.shape[1] // steps
 
-    def pack(flat_x, idx):
-        with_mask = np.concatenate([flat_x, mask[idx]], axis=1)
-        seq = flat_x.reshape(len(idx), steps, dim)[:, ::-1, :].copy()
-        seq_mask = mask[idx][:, ::-1].copy()
-        return with_mask, seq, seq_mask
+    def layout(x, idx):
+        if model_spec.family == "shallow_lstm":
+            seq = x.reshape(-1, steps, dim)[:, ::-1, :].copy()
+            return seq, table.mask[idx][:, ::-1].copy(), y[idx]
+        with_mask = np.concatenate([x, table.mask[idx]], axis=1)
+        if feature_slice is not None:
+            with_mask = with_mask[:, feature_slice]
+        return with_mask, y[idx]
 
-    packed = {
-        "train": pack(flat_tr, train_idx),
-        "val": pack(flat_va, val_idx),
-        "test": pack(flat_te, test_idx),
-    }
-    targets = {
-        name: (table.labels[idx], table.iou[idx])
-        for name, idx in (("train", train_idx), ("val", val_idx), ("test", test_idx))
-    }
-    return packed, targets
+    parts = tuple(layout(x, idx) for x, idx in zip(scaled, indices))
+    return parts, (mean, std)
+
+
+def fit_split(
+    table: MetaRecordTable,
+    model_spec: ModelSpec,
+    num_stability: int,
+    split_spec: SplitSpec,
+    run: int,
+    feature_slice: slice | None = None,
+):
+    """Train `model_spec` on split `run` of the table with m stability metrics.
+
+    Returns the model, the test part in the model's input layout (targets
+    last), and the (mean, std) the flat features were standardized with.
+    """
+    (train, val, test), standardizer = _prepare_split(
+        table, model_spec, num_stability, split_spec, run, feature_slice
+    )
+    return train_model(model_spec, train, val), test, standardizer
 
 
 def _train_eval_once(
     table: MetaRecordTable,
-    family: str,
-    task: str,
-    num_stability: int,
-    spec: SplitSpec,
-    run: int,
     model_spec: ModelSpec,
+    num_stability: int,
+    split_spec: SplitSpec,
+    run: int,
     feature_slice: slice | None = None,
 ) -> dict[str, float]:
-    packed, targets = _prepare_split(table, num_stability, spec, run)
-
-    def inputs(part):
-        with_mask, seq, seq_mask = packed[part]
-        labels, iou = targets[part]
-        y = labels if task == "classification" else iou
-        if family == "shallow_lstm":
-            return (seq, seq_mask, y)
-        x = with_mask if feature_slice is None else with_mask[:, feature_slice]
-        return (x, y)
-
-    model = train_model(model_spec, inputs("train"), inputs("val"))
-    test_in = inputs("test")
-    if family == "shallow_lstm":
-        scores = model.predict(test_in[0], test_in[1])
-    else:
-        scores = model.predict(test_in[0])
-    labels, iou = targets["test"]
-    if task == "classification":
-        return {"acc": accuracy(labels, scores), "auroc": auroc(labels, scores)}
-    return {"sigma": regression_sigma(iou, scores), "r2": r_squared(iou, scores)}
+    model, test, _ = fit_split(
+        table, model_spec, num_stability, split_spec, run, feature_slice
+    )
+    scores = model.predict(*test[:-1])
+    y = test[-1]
+    if model_spec.task == "classification":
+        return {"acc": accuracy(y, scores), "auroc": auroc(y, scores)}
+    return {"sigma": regression_sigma(y, scores), "r2": r_squared(y, scores)}
 
 
 def _summarize(per_run: dict[str, list[float]]) -> dict[str, tuple[float, float]]:
@@ -260,9 +279,9 @@ def _summarize(per_run: dict[str, list[float]]) -> dict[str, tuple[float, float]
 
 
 def _grid_job(args):
-    table, family, task, m, t_hist, spec, run, model_spec = args
-    metrics = _train_eval_once(table, family, task, m, spec, run, model_spec)
-    return (family, task, m, t_hist, run, metrics)
+    table, model_spec, m, split_spec, run = args
+    metrics = _train_eval_once(table, model_spec, m, split_spec, run)
+    return (model_spec.family, model_spec.task, m, table.history, run, metrics)
 
 
 def run_experiment(
@@ -282,19 +301,14 @@ def run_experiment(
     averaged over `split_spec.runs` deterministic splits.
     """
     for m in m_values:
-        if not 0 <= m <= table.num_stability:
-            raise ValueError(
-                f"m={m} outside [0, {table.num_stability}] for this dataset"
-            )
+        _check_m(table, m)
     jobs = []
     for family in families:
         for task in tasks:
             for m in m_values:
                 for run in range(split_spec.runs):
                     model_spec = _make_spec(base_model_spec, family, task, run)
-                    jobs.append(
-                        (table, family, task, m, table.history, split_spec, run, model_spec)
-                    )
+                    jobs.append((table, model_spec, m, split_spec, run))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_grid_job, jobs))
@@ -402,14 +416,7 @@ def entropy_baseline(
         for run in range(split_spec.runs):
             model_spec = _make_spec(base_model_spec, "gradient_boosting", task, run)
             metrics = _train_eval_once(
-                table,
-                "gradient_boosting",
-                task,
-                0,
-                split_spec,
-                run,
-                model_spec,
-                feature_slice=column,
+                table, model_spec, 0, split_spec, run, feature_slice=column
             )
             for name, value in metrics.items():
                 per_run.setdefault(name, []).append(value)

@@ -138,42 +138,6 @@ def connected_components(labels: np.ndarray, frame_index: int = 0) -> FrameSegme
     return FrameSegments(segments, comp_map, inner)
 
 
-def split_inner_boundary(segment: Segment, labels: np.ndarray):
-    """Classify one segment's pixels directly against its own pixel set.
-
-    Independent of the vectorized path in `connected_components`; a pixel is
-    inner iff all eight neighbors exist in the image and lie in the segment.
-    """
-    h, w = np.asarray(labels).shape
-    pixel_set = {(int(r), int(c)) for r, c in segment.pixels}
-    inner, boundary = [], []
-    for r, c in segment.pixels:
-        r, c = int(r), int(c)
-        ok = 0 < r < h - 1 and 0 < c < w - 1
-        if ok:
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    if dy == 0 and dx == 0:
-                        continue
-                    if (r + dy, c + dx) not in pixel_set:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        (inner if ok else boundary).append((r, c))
-    return inner, boundary
-
-
-def geometric_center(pixels) -> tuple[float, float]:
-    """Mean (row, col) of a pixel set."""
-    if isinstance(pixels, Segment):
-        pixels = pixels.pixels
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if len(pixels) < 1:
-        raise ValueError("geometric center of an empty pixel set")
-    return float(pixels[:, 0].mean()), float(pixels[:, 1].mean())
-
-
 def segment_table_rows(segments: list[Segment]) -> list[dict]:
     """Rows for the exportable segment table CSV."""
     rows = []

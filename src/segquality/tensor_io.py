@@ -1,4 +1,4 @@
-"""On-disk stream format: binary frame tensors, JSON manifests, label smoothing."""
+"""On-disk stream format: binary frame tensors and JSON manifests."""
 
 from __future__ import annotations
 
@@ -259,41 +259,3 @@ def write_manifest(manifest: StreamManifest, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _window_counts(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Per-pixel count of true cells in the (2r+1)^2 window, zero outside image."""
-    h, w = mask.shape
-    ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-    ii[1:, 1:] = np.cumsum(np.cumsum(mask.astype(np.int64), axis=0), axis=1)
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    r0 = np.clip(rows - radius, 0, h)
-    r1 = np.clip(rows + radius + 1, 0, h)
-    c0 = np.clip(cols - radius, 0, w)
-    c1 = np.clip(cols + radius + 1, 0, w)
-    return ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
-
-
-def smooth_labels(labels: np.ndarray, kernel: int) -> np.ndarray:
-    """Coarsen a label frame by box-filtering each class mask and re-labelling.
-
-    Each class's one-hot mask is filtered with a normalized kernel x kernel box
-    (zero padding at the border); the output label is the per-pixel argmax of
-    the filtered masks, ties broken by the lowest class index.  Implemented on
-    integer window counts, which has the same argmax as the normalized filter
-    and is exact.
-    """
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd and positive, got {kernel}")
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValueError("labels must be 2-D")
-    if kernel == 1:
-        return labels.astype(np.int32, copy=True)
-    radius = kernel // 2
-    num_classes = int(labels.max()) + 1
-    counts = np.zeros((num_classes,) + labels.shape, dtype=np.int64)
-    for cls in range(num_classes):
-        counts[cls] = _window_counts(labels == cls, radius)
-    return np.argmax(counts, axis=0).astype(np.int32)

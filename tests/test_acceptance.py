@@ -23,7 +23,7 @@ from segquality.seg_metrics import (
     feature_names,
     mean_class_probs,
 )
-from segquality.segmentation import connected_components, geometric_center
+from segquality.segmentation import connected_components
 from segquality.synth import SynthConfig, generate_stream
 from segquality.tracking import TrackingParams, overlap, track_stream
 from test_meta_models import finite_difference_check
@@ -85,7 +85,7 @@ def test_criterion_2_formula_oracles_on_random_frames():
             )
             checked["probs"] += 1
             expected_center = oracles.center(pixels)
-            actual_center = geometric_center(segment)
+            actual_center = segment.center
             assert abs(actual_center[0] - expected_center[0]) < 1e-9
             assert abs(actual_center[1] - expected_center[1]) < 1e-9
             checked["center"] += 1

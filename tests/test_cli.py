@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from segquality.cli import main
+from segquality.dataset import SplitSpec, read_dataset, split_indices
+from segquality.evaluation import fit_split
+from segquality.meta_models import ModelSpec, load_model
+from segquality.seg_metrics import feature_names
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +99,6 @@ def test_train_and_eval_smoke(runner, pipeline_dir):
             "--family", "gradient_boosting",
             "--task", "classification",
             "--m", "3",
-            "--runs", "4",
             "--run", "0",
         ],
     )
@@ -121,6 +125,71 @@ def test_train_and_eval_smoke(runner, pipeline_dir):
     report = json.loads((pipeline_dir / "report.json").read_text())
     assert len(report["cells"]) == 2
     assert (pipeline_dir / "report.csv").exists()
+
+
+def _train(runner, pipeline_dir, out, family, m, *extra):
+    return runner.invoke(
+        main,
+        [
+            "train",
+            "--dataset", str(pipeline_dir / "dataset.csv"),
+            "--header", str(pipeline_dir / "dataset.json"),
+            "--out", str(out),
+            "--family", family,
+            "--task", "classification",
+            "--m", str(m),
+            *extra,
+        ],
+    )
+
+
+@pytest.mark.parametrize("m", [-1, 4])  # the dataset was built with m=3
+def test_train_rejects_m_out_of_range(runner, pipeline_dir, tmp_path, m):
+    result = _train(runner, pipeline_dir, tmp_path / "model.json", "linear", m)
+    assert result.exit_code != 0
+    assert f"m={m} outside [0, 3] for this dataset" in result.output
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "family, epochs", [("gradient_boosting", 200), ("shallow_lstm", 5)]
+)
+def test_train_model_file_scores_raw_features(
+    runner, pipeline_dir, tmp_path, family, epochs
+):
+    """The saved standardizer and layout rebuild the inputs from raw features."""
+    path = tmp_path / "model.json"
+    run_epochs = ("--run", "1", "--epochs", str(epochs))
+    result = _train(runner, pipeline_dir, path, family, 2, *run_epochs)
+    assert result.exit_code == 0, result.output
+    model = load_model(path)
+    inputs = model.metadata["inputs"]
+    table = read_dataset(pipeline_dir / "dataset.csv", pipeline_dir / "dataset.json")
+    assert inputs["num_stability"] == 2
+    assert inputs["history"] == table.history == 2
+    assert inputs["feature_names"] == feature_names(8, 2)
+
+    spec = ModelSpec(family, "classification", seed=0, max_epochs=epochs)
+    split_spec = SplitSpec(base_seed=0)
+    fitted, test, _ = fit_split(table, spec, 2, split_spec, 1)
+    expected = fitted.predict(*test[:-1])
+
+    test_idx = split_indices(len(table), split_spec, 1)[2]
+    mean = np.array(inputs["mean"])
+    std = np.array(inputs["std"])
+    live = std > 0
+    raw = table.flat_features(2)[test_idx]
+    x = (raw - mean) / np.where(live, std, 1.0)
+    x[:, ~live] = 0.0
+    mask = table.mask[test_idx]
+    if family == "shallow_lstm":
+        assert inputs["layout"] == "sequence_oldest_first"
+        seq = x.reshape(len(test_idx), 3, -1)[:, [2, 1, 0]]
+        scores = model.predict(seq, mask[:, [2, 1, 0]])
+    else:
+        assert inputs["layout"] == "flat+mask"
+        scores = model.predict(np.concatenate([x, mask], axis=1))
+    assert np.array_equal(scores, expected)
 
 
 def test_extract_rejects_m_beyond_blocks(runner, pipeline_dir):

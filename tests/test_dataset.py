@@ -9,6 +9,8 @@ from segquality.dataset import (
     standardize,
     write_dataset,
 )
+from segquality.evaluation import _prepare_split
+from segquality.meta_models import ModelSpec
 from segquality.seg_metrics import SegmentFeatures, feature_count
 
 
@@ -101,20 +103,50 @@ def test_binary_label_is_iou_zero_indicator():
 
 
 def test_flat_inputs_layout_and_masks():
-    rows = [[_row(t, 0, 3, 0.5)] for t in range(4)]
+    rows = [[_row(t, 0, 3, 0.5 * (t % 2))] for t in range(8)]
     table = build_time_series(rows, history=2, num_classes=3, num_stability=2)
+    spec = SplitSpec(fractions=(0.5, 0.25, 0.25))
+    parts_idx = split_indices(len(table), spec, 0)
+    flat_spec = ModelSpec("linear", "regression")
     dim = feature_count(3, 2)
-    assert table.flat_features(2).shape == (4, 3 * dim)
-    assert table.flat_inputs(2).shape == (4, 3 * dim + 3)
-    small = table.flat_features(0)
-    assert small.shape == (4, 3 * feature_count(3, 0))
-    seq, mask = table.sequence_inputs(1)
-    # oldest first: slot order reversed relative to storage
-    assert seq.shape == (4, 3, feature_count(3, 1))
-    record = np.flatnonzero(table.frames == 3)[0]
-    assert seq[record, -1, 0] == 3.0
-    assert seq[record, 0, 0] == 1.0
-    assert mask[record].tolist() == [1.0, 1.0, 1.0]
+    flat = table.features.reshape(len(table), -1)
+    parts, (mean, std) = _prepare_split(table, flat_spec, 2, spec, 0)
+    scaled = standardize(*(flat[idx] for idx in parts_idx))
+    assert np.array_equal(mean, scaled[3]) and np.array_equal(std, scaled[4])
+    for (x, y), z, idx in zip(parts, scaled, parts_idx):
+        # standardized slots, then the mask columns appended
+        assert x.shape == (len(idx), 3 * dim + 3)
+        assert np.array_equal(x[:, : 3 * dim], z)
+        assert np.array_equal(x[:, 3 * dim :], table.mask[idx])
+        assert np.array_equal(y, table.iou[idx])
+
+    # m = 0 keeps the prefix of every slot
+    small_dim = feature_count(3, 0)
+    small, _ = _prepare_split(table, flat_spec, 0, spec, 0)
+    prefix = np.concatenate(
+        [np.arange(s * dim, s * dim + small_dim) for s in range(3)]
+        + [np.arange(3 * dim, 3 * dim + 3)]
+    )
+    for (x_small, _), (x, _) in zip(small, parts):
+        assert np.array_equal(x_small, x[:, prefix])
+
+    # sequences run oldest first, with the mask reversed alike
+    seq_parts, _ = _prepare_split(
+        table, ModelSpec("shallow_lstm", "classification"), 2, spec, 0
+    )
+    for (seq, mask, y), (x, _), idx in zip(seq_parts, parts, parts_idx):
+        assert seq.shape == (len(idx), 3, dim)
+        slots = x[:, : 3 * dim].reshape(len(idx), 3, dim)
+        assert np.array_equal(seq, slots[:, [2, 1, 0]])
+        assert np.array_equal(mask, table.mask[idx][:, [2, 1, 0]])
+        assert np.array_equal(y, table.labels[idx])
+        # the frame-0 record has no history: only its newest (last) slot is set
+        for i in np.flatnonzero(table.frames[idx] == 0):
+            assert mask[i].tolist() == [0.0, 0.0, 1.0]
+
+    for bad_m in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            _prepare_split(table, flat_spec, bad_m, spec, 0)
 
 
 def test_split_sizes_exact_fractions():

@@ -4,11 +4,9 @@ import pytest
 import oracles
 from segquality.segmentation import (
     connected_components,
-    geometric_center,
     inner_mask,
     label_components,
     segment_table_rows,
-    split_inner_boundary,
 )
 
 
@@ -120,10 +118,12 @@ def test_inner_boundary_5x5_hand_count():
 def test_split_inner_boundary_agrees_with_vectorized_path():
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 2, size=(10, 8))
+    h, w = labels.shape
     for segment in connected_components(labels):
-        inner, boundary = split_inner_boundary(segment, labels)
-        assert set(inner) == set(map(tuple, segment.inner_pixels.tolist()))
-        assert set(boundary) == set(map(tuple, segment.boundary_pixels.tolist()))
+        pixels = set(map(tuple, segment.pixels.tolist()))
+        inner = oracles.inner_pixels(pixels, h, w)
+        assert inner == set(map(tuple, segment.inner_pixels.tolist()))
+        assert pixels - inner == set(map(tuple, segment.boundary_pixels.tolist()))
         assert segment.size == segment.size_inner + segment.size_boundary
         assert segment.size_boundary >= 1
 
@@ -146,13 +146,15 @@ def test_inner_pixels_have_all_neighbors_in_segment():
 
 
 def test_geometric_center_examples():
-    assert geometric_center(np.array([[3, 7]])) == (3.0, 7.0)
-    block = np.array([[r, c] for r in range(3) for c in range(3)])
-    assert geometric_center(block) == (1.0, 1.0)
-    tri = np.array([[0, 0], [0, 1], [1, 0]])
-    center = geometric_center(tri)
-    assert center[0] == pytest.approx(1 / 3)
-    assert center[1] == pytest.approx(1 / 3)
+    single = np.zeros((5, 9), dtype=int)
+    single[3, 7] = 1
+    assert connected_components(single)[1].center == (3.0, 7.0)
+    (block,) = connected_components(np.zeros((3, 3), dtype=int))
+    assert block.center == (1.0, 1.0)
+    tri = connected_components(np.array([[1, 1], [1, 0]]))[0]
+    assert tri.size == 3
+    assert tri.center[0] == pytest.approx(1 / 3)
+    assert tri.center[1] == pytest.approx(1 / 3)
 
 
 def test_geometric_center_matches_oracle():

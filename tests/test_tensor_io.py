@@ -11,7 +11,6 @@ from segquality.tensor_io import (
     TensorFormatError,
     read_manifest,
     read_tensor,
-    smooth_labels,
     tensor_file_size,
     write_manifest,
     write_tensor,
@@ -141,77 +140,3 @@ def test_tensor_file_size_matches_disk(tmp_path):
     path = tmp_path / "t.tmsg"
     write_tensor(path, np.zeros((6, 5, 3)))
     assert os.path.getsize(path) == tensor_file_size((6, 5, 3))
-
-
-def test_smooth_labels_kernel_one_is_identity():
-    rng = np.random.default_rng(1)
-    labels = rng.integers(0, 4, size=(8, 9))
-    assert np.array_equal(smooth_labels(labels, 1), labels)
-
-
-def test_smooth_labels_rejects_even_kernel():
-    with pytest.raises(ValueError, match="odd"):
-        smooth_labels(np.zeros((3, 3), dtype=int), 2)
-    with pytest.raises(ValueError, match="odd"):
-        smooth_labels(np.zeros((3, 3), dtype=int), 0)
-
-
-def test_smooth_labels_uniform_frame_unchanged():
-    labels = np.full((6, 7), 3, dtype=int)
-    for kernel in (3, 5):
-        assert np.array_equal(smooth_labels(labels, kernel), labels)
-
-
-def test_smooth_labels_removes_isolated_pixel():
-    labels = np.zeros((5, 5), dtype=int)
-    labels[2, 2] = 1
-    smoothed = smooth_labels(labels, 3)
-    # at (2,2) the 3x3 box holds one pixel of class 1 and eight of class 0
-    assert smoothed[2, 2] == 0
-    assert np.array_equal(smoothed, np.zeros((5, 5), dtype=int))
-
-
-def test_smooth_labels_matches_hand_counts_on_split_frame():
-    # left three columns class 0, right two class 1; box counts decide
-    labels = np.array(
-        [
-            [0, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1],
-        ]
-    )
-    smoothed = smooth_labels(labels, 3)
-    # column 2: window holds 6 zeros, 3 ones -> 0; column 3: 3 zeros, 6 ones -> 1
-    assert np.array_equal(smoothed, labels)
-
-
-def test_smooth_labels_tie_breaks_to_lower_class():
-    # one row of each class on a 2-row frame: with zero padding every 3x3
-    # window holds equally many pixels of both classes, so the lower index wins
-    labels = np.array(
-        [
-            [2, 2, 2],
-            [1, 1, 1],
-        ]
-    )
-    smoothed = smooth_labels(labels, 3)
-    assert np.array_equal(smoothed, np.ones((2, 3), dtype=int))
-
-
-def test_smooth_labels_idempotent_on_single_class_frames():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        cls = int(rng.integers(0, 5))
-        labels = np.full((7, 6), cls, dtype=int)
-        once = smooth_labels(labels, 3)
-        twice = smooth_labels(once, 3)
-        assert np.array_equal(once, twice)
-
-
-def test_smooth_labels_never_introduces_absent_class():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        labels = rng.integers(0, 6, size=(10, 12))
-        for kernel in (3, 5):
-            smoothed = smooth_labels(labels, kernel)
-            assert set(np.unique(smoothed)) <= set(np.unique(labels))
