@@ -223,8 +223,8 @@ def train_cmd(
     """
     table = read_dataset(dataset_path, header_path)
     spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
-    split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
     try:
+        split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
         model, test, (mean, std) = fit_split(
             table, spec, num_stability, split_spec, run
         )
@@ -306,7 +306,10 @@ def eval_cmd(
     no_baselines,
 ):
     """Run the experiment grid and emit a mean/std report (JSON and CSV)."""
-    split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
+    try:
+        split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
+    except ValueError as exc:
+        _fail(str(exc))
     family_list = [f.strip() for f in families.split(",") if f.strip()]
     task_list = [t.strip() for t in tasks.split(",") if t.strip()]
     if grid is not None:

@@ -27,6 +27,8 @@ class SplitSpec:
             raise ValueError("fractions must be positive")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass
@@ -144,6 +146,8 @@ def build_time_series(
 
 def split_indices(n: int, spec: SplitSpec, run: int):
     """Deterministic disjoint train/val/test index arrays for one run."""
+    if run < 0:
+        raise ValueError(f"run must be >= 0, got {run}")
     take = n if spec.sample_size is None else spec.sample_size
     if take > n:
         raise ValueError(f"sample_size {take} exceeds dataset size {n}")

@@ -20,8 +20,9 @@ class _SplitContext:
     """Presorted feature matrix shared by every tree of one training run.
 
     The per-feature sort happens once; tree growth partitions the sorted
-    order (and the sorted values) down to the children, so equal values keep
-    their global order and no node ever re-sorts.
+    order (and the dense per-feature ranks of the sorted values) down to the
+    children, so equal values keep their global order and no node ever
+    re-sorts.
     """
 
     def __init__(self, X: np.ndarray, min_leaf: int):
@@ -31,9 +32,13 @@ class _SplitContext:
         self.sorted_idx = np.asfortranarray(
             np.argsort(X, axis=0, kind="stable").astype(np.int32)
         )
-        self.sorted_x = np.asfortranarray(np.take_along_axis(X, self.sorted_idx, 0))
+        sorted_x = np.take_along_axis(X, self.sorted_idx, 0)
+        # equal values share a rank, so rank order decides distinctness
+        steps = np.zeros(X.shape, dtype=np.int32)
+        steps[1:] = sorted_x[1:] != sorted_x[:-1]
+        self.sorted_rank = np.asfortranarray(np.cumsum(steps, axis=0, dtype=np.int32))
 
-    def best_split(self, order: np.ndarray, xs: np.ndarray, grad: np.ndarray):
+    def best_split(self, order: np.ndarray, ranks: np.ndarray, grad: np.ndarray):
         """Exact greedy split search; returns (feature, threshold) or None.
 
         The score maximized is the sum of per-side squared gradient sums over
@@ -56,7 +61,7 @@ class _SplitContext:
         np.square(right_sum, out=right_sum)
         right_sum /= right_count
         score += right_sum
-        ok = xs[:-1] < xs[1:]
+        ok = ranks[:-1] < ranks[1:]
         if self.min_leaf > 1:
             ok &= (left_count >= self.min_leaf) & (right_count >= self.min_leaf)
         score[~ok] = -np.inf
@@ -69,23 +74,27 @@ class _SplitContext:
         # split predicate is x <= threshold with the left side's max value,
         # which reproduces the training partition exactly regardless of float
         # spacing
-        return int(feat), float(xs[pos, feat])
+        return int(feat), float(self.X[order[pos, feat], feat])
 
-    def partition(self, order: np.ndarray, xs: np.ndarray, go_left: np.ndarray):
-        """Split (order, xs) into the left/right children, preserving order."""
-        valid = go_left[order]
-        d = order.shape[1]
-        n_left = int(valid[:, 0].sum())
-        n_right = order.shape[0] - n_left
-        valid_t = valid.T
+    def partition(self, order: np.ndarray, ranks: np.ndarray, go_left: np.ndarray):
+        """Split (order, ranks) into the left/right children, preserving order.
+
+        Each is compressed as a flat feature-major buffer (a view of the
+        Fortran-ordered array) and reshaped back to (rows, features).
+        """
+        n_node, d = order.shape
+        flat_order, flat_ranks = order.T.ravel(), ranks.T.ravel()
+        valid = go_left[flat_order]
+        invalid = ~valid
+        n_left = int(valid[:n_node].sum())
+        n_right = n_node - n_left
         left = (
-            np.asfortranarray(order.T[valid_t].reshape(d, n_left).T),
-            np.asfortranarray(xs.T[valid_t].reshape(d, n_left).T),
+            flat_order.compress(valid).reshape(d, n_left).T,
+            flat_ranks.compress(valid).reshape(d, n_left).T,
         )
-        invalid_t = ~valid_t
         right = (
-            np.asfortranarray(order.T[invalid_t].reshape(d, n_right).T),
-            np.asfortranarray(xs.T[invalid_t].reshape(d, n_right).T),
+            flat_order.compress(invalid).reshape(d, n_right).T,
+            flat_ranks.compress(invalid).reshape(d, n_right).T,
         )
         return left, right
 
@@ -99,6 +108,7 @@ class _Tree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self._arrays = None
 
     def _add_node(self) -> int:
         self.feature.append(-1)
@@ -108,18 +118,39 @@ class _Tree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
+    def _flat_arrays(self):
+        """Node arrays for apply, built once the tree is complete.
+
+        `children[go_left * n_nodes + node]` is the next node; leaves point to
+        themselves on both sides, so a row that has reached its leaf stays
+        there.  One pass per level of the deepest leaf moves every row down.
+        """
+        if self._arrays is None:
+            leaf = np.asarray(self.feature) < 0
+            children = np.array([self.right, self.left])
+            children[:, leaf] = np.flatnonzero(leaf)
+            level = [0] * len(self.feature)
+            for node, feat in enumerate(self.feature):  # parents precede children
+                if feat >= 0:
+                    level[self.left[node]] = level[self.right[node]] = level[node] + 1
+            self._arrays = (
+                np.where(leaf, 0, self.feature),
+                np.asarray(self.threshold),
+                children.ravel(),
+                np.asarray(self.value),
+                max(level),
+            )
+        return self._arrays
+
     def apply(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
+        feature, threshold, children, value, passes = self._flat_arrays()
+        X = np.ascontiguousarray(X)
+        row_start = np.arange(len(X)) * X.shape[1]
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(passes):
+            go_left = X.take(row_start + feature[node]) <= threshold[node]
+            node = children.take(node + len(value) * go_left)
+        return value[node]
 
     @property
     def is_stump_zero(self) -> bool:
@@ -152,27 +183,30 @@ def _leaf_value(grad: np.ndarray, hess: np.ndarray) -> float:
     return float(grad.sum() / denom)
 
 
-def _fit_tree(ctx: _SplitContext, grad, hess, depth: int) -> _Tree:
+def _fit_tree(ctx: _SplitContext, grad, hess, depth: int):
+    """Grow one tree; returns it with the leaf value each training row reached."""
     tree = _Tree()
+    reached = np.zeros(len(grad))
 
-    def grow(order: np.ndarray, xs: np.ndarray, level: int) -> int:
+    def grow(order: np.ndarray, ranks: np.ndarray, level: int) -> int:
         node = tree._add_node()
-        split = ctx.best_split(order, xs, grad) if level < depth else None
+        split = ctx.best_split(order, ranks, grad) if level < depth else None
         if split is None:
             rows = order[:, 0]  # every column holds the same row set
             tree.value[node] = _leaf_value(grad[rows], hess[rows])
+            reached[rows] = tree.value[node]
             return node
         feat, thr = split
         go_left = ctx.X[:, feat] <= thr
-        (order_l, xs_l), (order_r, xs_r) = ctx.partition(order, xs, go_left)
+        (order_l, ranks_l), (order_r, ranks_r) = ctx.partition(order, ranks, go_left)
         tree.feature[node] = feat
         tree.threshold[node] = thr
-        tree.left[node] = grow(order_l, xs_l, level + 1)
-        tree.right[node] = grow(order_r, xs_r, level + 1)
+        tree.left[node] = grow(order_l, ranks_l, level + 1)
+        tree.right[node] = grow(order_r, ranks_r, level + 1)
         return node
 
-    grow(ctx.sorted_idx, ctx.sorted_x, 0)
-    return tree
+    grow(ctx.sorted_idx, ctx.sorted_rank, 0)
+    return tree, reached
 
 
 class GradientBoostingModel(TrainedModel):
@@ -239,11 +273,10 @@ def train_gb(train, val, spec: ModelSpec) -> GradientBoostingModel:
             p = expit(raw)
             grad = y - p
             hess = p * (1.0 - p)
-        tree = _fit_tree(ctx, grad, hess, spec.tree_depth)
+        tree, reached = _fit_tree(ctx, grad, hess, spec.tree_depth)
         if tree.is_stump_zero:
             break
-        contribution = spec.gb_learning_rate * tree.apply(X)
-        raw = raw + contribution
+        raw = raw + spec.gb_learning_rate * reached
         raw_val = raw_val + spec.gb_learning_rate * tree.apply(X_val)
         trees.append(tree)
         val_losses.append(_loss(spec.task, y_val, raw_val))

@@ -159,6 +159,45 @@ def auroc_threshold_sweep(labels, scores):
     return area
 
 
+def tree_apply(tree, X):
+    """Leaf value of every row of X, walking a tree dict node by node."""
+    out = []
+    for row in X:
+        node = 0
+        while tree["feature"][node] >= 0:
+            if row[tree["feature"][node]] <= tree["threshold"][node]:
+                node = tree["left"][node]
+            else:
+                node = tree["right"][node]
+        out.append(tree["value"][node])
+    return np.array(out)
+
+
+def logistic_ridge_minimizer(X, y, ridge):
+    """Weights and intercept minimizing mean logistic loss + ridge/2 ||w||^2.
+
+    Quasi-Newton (BFGS) from scipy with a tight gradient tolerance; the
+    intercept is unpenalized.
+    """
+    from scipy.optimize import minimize
+
+    n, d = X.shape
+    design = np.concatenate([X, np.ones((n, 1))], axis=1)
+    penalty = np.append(np.full(d, ridge), 0.0)
+
+    def loss_and_grad(w):
+        z = design @ w
+        loss = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * np.sum(penalty * w * w)
+        prob = 1.0 / (1.0 + np.exp(-z))
+        return loss, design.T @ (prob - y) / n + penalty * w
+
+    result = minimize(
+        loss_and_grad, np.zeros(d + 1), jac=True, method="BFGS",
+        options={"gtol": 1e-12, "maxiter": 10000},
+    )
+    return result.x[:-1], result.x[-1]
+
+
 def random_softmax(rng, h, w, c, one_hot_fraction=0.0):
     """Valid softmax frame from Dirichlet draws, optionally with one-hot pixels."""
     probs = rng.dirichlet(np.ones(c), size=(h, w))

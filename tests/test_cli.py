@@ -151,6 +151,46 @@ def test_train_rejects_m_out_of_range(runner, pipeline_dir, tmp_path, m):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_train_rejects_negative_run(runner, pipeline_dir, tmp_path):
+    out = tmp_path / "model.json"
+    result = _train(runner, pipeline_dir, out, "linear", 0, "--run", "-1")
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert "Error: run must be >= 0, got -1" in result.output
+    assert not out.exists()
+
+
+def _eval(runner, pipeline_dir, prefix, *extra):
+    return runner.invoke(
+        main,
+        [
+            "eval",
+            "--dataset", str(pipeline_dir / "dataset.csv"),
+            "--header", str(pipeline_dir / "dataset.json"),
+            "--out-prefix", str(prefix),
+            "--families", "linear",
+            "--tasks", "classification",
+            "--no-baselines",
+            *extra,
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--runs", "0", "runs must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ],
+)
+def test_eval_rejects_bad_split_options(
+    runner, pipeline_dir, tmp_path, option, value, message
+):
+    result = _eval(runner, pipeline_dir, tmp_path / "report", option, value)
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "family, epochs", [("gradient_boosting", 200), ("shallow_lstm", 5)]
 )

@@ -1,6 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import oracles
 from segquality.meta_models import (
     ModelSpec,
     load_model,
@@ -10,7 +15,10 @@ from segquality.meta_models import (
     train_model,
     train_nn,
 )
+from segquality.meta_models.boosting import _Tree
 from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _flatten(params):
@@ -94,7 +102,131 @@ def test_linear_round_trip_serialization(tmp_path):
     assert np.allclose(loaded.predict(x), model.predict(x), atol=0)
 
 
+def _noisy_logistic_problem(seed=20, n=400, d=6):
+    """Seeded labels drawn from a logistic model, so no hyperplane separates them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = (rng.random(n) < expit(x @ rng.standard_normal(d) + 0.4)).astype(float)
+    return x, y
+
+
+def test_logistic_matches_scipy_minimizer_of_same_objective():
+    x, y = _noisy_logistic_problem()
+    spec = ModelSpec("linear", "classification", ridge=1e-3)
+    model = train_linear((x, y), (x, y), spec)
+    weights, intercept = oracles.logistic_ridge_minimizer(x, y, spec.ridge)
+    ours = np.append(model.weights, model.intercept)
+    ref = np.append(weights, intercept)
+    assert np.abs(ours - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_logistic_ends_below_gradient_tolerance_and_reports_converged():
+    x, y = _noisy_logistic_problem(seed=21)
+    spec = ModelSpec("linear", "classification")
+    model = train_linear((x, y), (x, y), spec)
+    design = np.concatenate([x, np.ones((len(x), 1))], axis=1)
+    w = np.append(model.weights, model.intercept)
+    penalty = np.append(np.full(x.shape[1], spec.ridge), 0.0)
+    grad = design.T @ (expit(design @ w) - y) / len(y) + penalty * w
+    assert np.abs(grad).max() < spec.gd_tol
+    assert model.metadata["converged"] is True
+    assert 0 < model.metadata["iterations"] < 50
+
+
+def test_logistic_step_cap_reports_unconverged_and_warns():
+    x, y = _noisy_logistic_problem(seed=22)
+    spec = ModelSpec("linear", "classification", gd_max_iter=1)
+    with pytest.warns(RuntimeWarning, match="not converged after 1 Newton steps"):
+        model = train_linear((x, y), (x, y), spec)
+    assert model.metadata["converged"] is False
+    assert model.metadata["iterations"] == 1
+
+
+def test_logistic_stops_when_no_step_decreases_objective():
+    # no float64 gradient reaches 1e-300: once the objective stops decreasing
+    # the fit must stop unconverged instead of spending all gd_max_iter steps
+    x, y = _noisy_logistic_problem(seed=25)
+    spec = ModelSpec("linear", "classification", gd_tol=1e-300)
+    with pytest.warns(RuntimeWarning, match="not converged"):
+        model = train_linear((x, y), (x, y), spec)
+    assert model.metadata["converged"] is False
+    assert model.metadata["iterations"] < 50
+
+
+def test_logistic_singular_hessian_does_not_raise():
+    x, y = _noisy_logistic_problem(seed=23)
+    x[:, 2] = 0.0  # with ridge 0 this column makes the Hessian singular
+    spec = ModelSpec("linear", "classification", ridge=0.0)
+    model = train_linear((x, y), (x, y), spec)
+    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+    assert model.weights[2] == pytest.approx(0.0, abs=1e-12)
+    assert model.metadata["converged"] is True
+
+
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_logistic_single_class_labels_give_finite_weights(label):
+    x, _ = _noisy_logistic_problem(seed=24)
+    y = np.full(len(x), label)
+    model = train_linear((x, y), (x, y), ModelSpec("linear", "classification"))
+    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+    scores = model.predict(x)
+    assert np.all(scores > 0.99) if label else np.all(scores < 0.01)
+
+
 # ---------------------------------------------------------------- boosting
+
+
+def _gb_seeded_fits():
+    """Both GB tasks on a seeded table with tied values, as plain JSON data."""
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((200, 5))
+    x[:, :2] = np.round(x[:, :2], 1)  # ties exercise the distinct-value rule
+    signal = x[:, 0] + x[:, 1] * x[:, 2] + 0.5 * rng.standard_normal(200)
+    targets = {
+        "classification": (signal > 0).astype(float),
+        "regression": expit(signal),
+    }
+    fits = {}
+    for task, y in targets.items():
+        min_leaf = 3 if task == "regression" else 1
+        spec = ModelSpec("gradient_boosting", task, max_rounds=20, min_leaf=min_leaf)
+        model = train_gb((x[:160], y[:160]), (x[160:], y[160:]), spec)
+        fits[task] = {
+            "parameters": model.params_dict(),
+            "metadata": {
+                key: model.metadata[key]
+                for key in ("rounds_trained", "rounds_kept", "val_loss")
+            },
+            "predictions": model.predict(x).tolist(),
+        }
+    return json.loads(json.dumps(fits))
+
+
+def test_gb_fits_equal_recorded_models():
+    # recorded with the tree code that re-applied every tree to the training
+    # rows and carried float64 values through the partitions
+    with open(os.path.join(DATA, "gb_models_seed30.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert _gb_seeded_fits() == recorded
+
+
+def test_tree_apply_matches_per_node_walk():
+    rng = np.random.default_rng(31)
+    x = np.round(rng.standard_normal((150, 4)), 1)
+    y = (x[:, 0] * x[:, 1] > 0).astype(float)
+    spec = ModelSpec("gradient_boosting", "classification", max_rounds=15, tree_depth=4)
+    model = train_gb((x[:100], y[:100]), (x[100:], y[100:]), spec)
+    probe = np.concatenate([x, np.round(rng.standard_normal((50, 4)), 1)])
+    depths = set()
+    for tree in model.trees:
+        expected = oracles.tree_apply(tree.to_dict(), probe)
+        assert np.array_equal(tree.apply(probe), expected)
+        depths.add(len(tree.feature))
+    assert len(depths) > 1  # trees of several shapes, leaves at several depths
+    leaf_only = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
+    single = _Tree.from_dict({**leaf_only, "value": [0.25]})
+    assert np.array_equal(single.apply(probe), np.full(len(probe), 0.25))
+    assert single.apply(probe[:0]).shape == (0,)
 
 
 def test_gb_single_stump_fits_step_function():
