@@ -129,22 +129,14 @@ def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, 
             f"--m must be in [0, {manifest.num_blocks - 1}] for this stream, "
             f"got {num_stability}"
         )
-    segments_by_frame = [] if segments_csv else None
     rows_by_frame, _ = process_stream(
-        manifest,
-        num_stability,
-        params=None,
-        with_gt=not no_gt,
-        segments_by_frame=segments_by_frame,
+        manifest, num_stability, params=None, with_gt=not no_gt
     )
     if tracking_path:
         apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
     write_feature_csv(rows_by_frame, out, manifest.num_classes, num_stability)
     if segments_csv:
-        for segments, rows in zip(segments_by_frame, rows_by_frame):
-            for segment, row in zip(segments, rows):
-                segment.track_id = row.track_id
-        write_segment_csv(segments_by_frame, segments_csv)
+        write_segment_csv(rows_by_frame, segments_csv)
     total = sum(len(rows) for rows in rows_by_frame)
     click.echo(f"wrote {total} segment rows to {out}")
 
@@ -221,9 +213,9 @@ def train_cmd(
     are those of eval's run r.  The model file also records the input layout
     and the standardizer.
     """
-    table = read_dataset(dataset_path, header_path)
     spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
     try:
+        table = read_dataset(dataset_path, header_path)
         split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
         model, test, (mean, std) = fit_split(
             table, spec, num_stability, split_spec, run
@@ -350,7 +342,10 @@ def eval_cmd(
     else:
         if dataset_path is None or header_path is None:
             _fail("--dataset and --header are required")
-        table = read_dataset(dataset_path, header_path)
+        try:
+            table = read_dataset(dataset_path, header_path)
+        except ValueError as exc:
+            _fail(str(exc))
         if grid == "single-frame":
             if table.history != 0:
                 _fail("the single-frame grid needs a dataset built with history 0")

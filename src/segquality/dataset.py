@@ -193,16 +193,29 @@ def dataset_header(table: MetaRecordTable) -> dict:
     }
 
 
+def _dataset_columns(num_classes: int, num_stability: int, history: int) -> list:
+    names = feature_names(num_classes, num_stability)
+    columns = ["frame", "component", "track_id", "iou_adj"]
+    columns += [f"mask_{s}" for s in range(history + 1)]
+    for s in range(history + 1):
+        columns += [f"t{s}_{name}" for name in names]
+    return columns
+
+
+def _column_mismatch(got: list, expected: list) -> str:
+    if len(got) != len(expected):
+        return f"{len(got)} columns, expected {len(expected)}"
+    i = next(i for i, (a, b) in enumerate(zip(got, expected)) if a != b)
+    return f"column {i} is {got[i]!r}, expected {expected[i]!r}"
+
+
 def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
     """Serialize a record table as CSV (one row per record) plus a JSON header."""
-    names = feature_names(table.num_classes, table.num_stability)
-    columns = ["frame", "component", "track_id", "iou_adj"]
-    columns += [f"mask_{s}" for s in range(table.history + 1)]
-    for s in range(table.history + 1):
-        columns += [f"t{s}_{name}" for name in names]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(
+            _dataset_columns(table.num_classes, table.num_stability, table.history)
+        )
         for i in range(len(table)):
             row = [
                 int(table.frames[i]),
@@ -223,16 +236,27 @@ def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
 def read_dataset(csv_path, header_path) -> MetaRecordTable:
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    if header.get("format") != "segquality-dataset/1":
-        raise ValueError(f"unsupported dataset header format: {header.get('format')}")
+    header_format = header.get("format") if isinstance(header, dict) else None
+    if header_format != "segquality-dataset/1":
+        raise ValueError(f"unsupported dataset header format: {header_format}")
+    missing = [k for k in ("num_classes", "num_stability", "history") if k not in header]
+    if missing:
+        raise ValueError(f"{header_path}: dataset header lacks {', '.join(missing)}")
     num_classes = header["num_classes"]
     num_stability = header["num_stability"]
     history = header["history"]
     dim = feature_count(num_classes, num_stability)
     frames, components, track_ids, ious, masks, feats = [], [], [], [], [], []
+    expected = _dataset_columns(num_classes, num_stability, history)
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        columns = next(reader, [])
+        if columns != expected:
+            raise ValueError(
+                f"{csv_path} does not match its header {header_path} "
+                f"(classes={num_classes}, m={num_stability}, history={history}): "
+                + _column_mismatch(columns, expected)
+            )
         for row in reader:
             frames.append(int(row[0]))
             components.append(int(row[1]))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -290,7 +290,6 @@ def run_experiment(
     tasks,
     m_values,
     split_spec: SplitSpec,
-    base_model_spec: ModelSpec | None = None,
     include_baselines: bool = True,
     workers: int = 1,
 ) -> EvalReport:
@@ -307,7 +306,7 @@ def run_experiment(
         for task in tasks:
             for m in m_values:
                 for run in range(split_spec.runs):
-                    model_spec = _make_spec(base_model_spec, family, task, run)
+                    model_spec = ModelSpec(family=family, task=task, seed=run)
                     jobs.append((table, model_spec, m, split_spec, run))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -332,9 +331,7 @@ def run_experiment(
     if include_baselines:
         baselines.append(naive_baseline_cell(table))
         if table.history == 0:
-            baselines.extend(
-                entropy_baseline(table, split_spec, base_model_spec, tasks)
-            )
+            baselines.extend(entropy_baseline(table, split_spec, tasks))
     report = EvalReport(cells=ordered, baselines=baselines)
     report.annotate_best()
     return report
@@ -348,7 +345,6 @@ def run_time_series_experiment(
     families,
     tasks,
     split_spec: SplitSpec,
-    base_model_spec: ModelSpec | None = None,
     workers: int = 1,
 ) -> EvalReport:
     """Sweep the history length: one record table per T, merged into one report.
@@ -372,7 +368,6 @@ def run_time_series_experiment(
             tasks,
             m_values,
             split_spec,
-            base_model_spec=base_model_spec,
             include_baselines=(history == 0),
             workers=workers,
         )
@@ -381,12 +376,6 @@ def run_time_series_experiment(
     merged = EvalReport(cells=cells, baselines=baselines)
     merged.annotate_best()
     return merged
-
-
-def _make_spec(base: ModelSpec | None, family: str, task: str, run: int) -> ModelSpec:
-    if base is None:
-        return ModelSpec(family=family, task=task, seed=run)
-    return replace(base, family=family, task=task, seed=base.seed + run)
 
 
 def naive_baseline_cell(table: MetaRecordTable) -> EvalCell:
@@ -403,7 +392,6 @@ def naive_baseline_cell(table: MetaRecordTable) -> EvalCell:
 def entropy_baseline(
     table: MetaRecordTable,
     split_spec: SplitSpec,
-    base_model_spec: ModelSpec | None = None,
     tasks=("classification", "regression"),
 ) -> list[EvalCell]:
     """Single-frame gradient boosting on the mean segment entropy alone."""
@@ -414,7 +402,7 @@ def entropy_baseline(
     for task in tasks:
         per_run: dict[str, list[float]] = {}
         for run in range(split_spec.runs):
-            model_spec = _make_spec(base_model_spec, "gradient_boosting", task, run)
+            model_spec = ModelSpec(family="gradient_boosting", task=task, seed=run)
             metrics = _train_eval_once(
                 table, model_spec, 0, split_spec, run, feature_slice=column
             )

@@ -70,14 +70,11 @@ def process_stream(
     num_stability: int,
     params: tracking.TrackingParams | None = None,
     with_gt: bool = True,
-    segments_by_frame: list | None = None,
 ):
     """One pass over a stream: per-frame feature rows plus track assignments.
 
     Returns (rows_by_frame, assignments_by_frame); assignments are None when
     no tracking parameters are given.  Track ids are filled into the rows.
-    When a `segments_by_frame` list is given, each frame's segments are
-    appended to it.
     """
     if not 0 <= num_stability <= manifest.num_blocks - 1:
         raise ValueError(
@@ -105,8 +102,6 @@ def process_stream(
             for row in rows:
                 row.track_id = by_component[row.component_index]
             assignments_by_frame.append(assignments)
-        if segments_by_frame is not None:
-            segments_by_frame.append(segments)
         rows_by_frame.append(rows)
     return rows_by_frame, assignments_by_frame
 
@@ -226,35 +221,31 @@ def apply_tracking(rows_by_frame, track_table) -> None:
         )
 
 
-def write_segment_csv(segments_by_frame, path):
-    """Exportable segment table (sizes, centers, ids) per frame."""
+SEGMENT_CSV_COLUMNS = (
+    "frame", "component", "class", "size", "size_in", "size_bd",
+    "center_row", "center_col", "track_id",
+)
+_CENTER_ROW = feature_names(0, 0).index("center_row")
+
+
+def write_segment_csv(rows_by_frame, path):
+    """Exportable segment table (sizes, centers, track ids) from feature rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "frame",
-                "component",
-                "class",
-                "size",
-                "size_in",
-                "size_bd",
-                "center_row",
-                "center_col",
-                "track_id",
-            ]
-        )
-        for segments in segments_by_frame:
-            for row in segmentation.segment_table_rows(segments):
+        writer.writerow(SEGMENT_CSV_COLUMNS)
+        for rows in rows_by_frame:
+            for row in rows:
+                center = row.features[_CENTER_ROW : _CENTER_ROW + 2]
                 writer.writerow(
                     [
-                        row["frame"],
-                        row["component"],
-                        row["class"],
-                        row["size"],
-                        row["size_in"],
-                        row["size_bd"],
-                        repr(row["center_row"]),
-                        repr(row["center_col"]),
-                        row["track_id"],
+                        row.frame_index,
+                        row.component_index,
+                        row.class_id,
+                        row.size,
+                        row.size_inner,
+                        row.size - row.size_inner,
+                        repr(float(center[0])),
+                        repr(float(center[1])),
+                        row.track_id,
                     ]
                 )

@@ -24,7 +24,6 @@ class Segment:
     pixels: np.ndarray
     inner: np.ndarray
     center: tuple[float, float]
-    track_id: int | None = None
 
     @property
     def size(self) -> int:
@@ -45,11 +44,6 @@ class Segment:
     @property
     def boundary_pixels(self) -> np.ndarray:
         return self.pixels[~self.inner]
-
-    @property
-    def first_pixel_flat(self) -> int:
-        # raster-order key of the component's first pixel; pixels are sorted
-        return int(self.pixels[0, 0]) * (1 << 32) + int(self.pixels[0, 1])
 
     def mask(self, shape) -> np.ndarray:
         out = np.zeros(shape, dtype=bool)
@@ -136,23 +130,3 @@ def connected_components(labels: np.ndarray, frame_index: int = 0) -> FrameSegme
             )
         )
     return FrameSegments(segments, comp_map, inner)
-
-
-def segment_table_rows(segments: list[Segment]) -> list[dict]:
-    """Rows for the exportable segment table CSV."""
-    rows = []
-    for seg in segments:
-        rows.append(
-            {
-                "frame": seg.frame_index,
-                "component": seg.component_index,
-                "class": seg.class_id,
-                "size": seg.size,
-                "size_in": seg.size_inner,
-                "size_bd": seg.size_boundary,
-                "center_row": seg.center[0],
-                "center_col": seg.center[1],
-                "track_id": -1 if seg.track_id is None else seg.track_id,
-            }
-        )
-    return rows

@@ -12,6 +12,7 @@ group per frame.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -47,32 +48,28 @@ class TrackAssignment:
 
 
 @dataclass
-class _TrackEntry:
-    frame_index: int
+class _Track:
+    """What steps 2-4 read of a track: its class, the mask of its latest
+    entry, and the (frame, center) pairs of its latest `history_window`
+    entries, oldest first."""
+
+    class_id: int
     mask: np.ndarray
-    center: tuple[float, float]
+    history: deque
 
 
 class TrackState:
-    """Per-track history of recent frame entities (one entry per frame)."""
+    """The tracks a later frame can still match, and the next free id.
+
+    A track is dropped once its latest entry is `history_window` or more
+    frames old: step 4 needs two entries in the last `history_window` frames,
+    steps 2 and 3 one in the previous frame, so no step could match it again.
+    """
 
     def __init__(self):
         self.next_id = 0
-        self.entries: dict[int, list[_TrackEntry]] = {}
-        self.classes: dict[int, int] = {}
-
-    def new_id(self, class_id: int) -> int:
-        track_id = self.next_id
-        self.next_id += 1
-        self.entries[track_id] = []
-        self.classes[track_id] = class_id
-        return track_id
-
-    def entry_at(self, track_id: int, frame_index: int) -> _TrackEntry | None:
-        for entry in self.entries[track_id]:
-            if entry.frame_index == frame_index:
-                return entry
-        return None
+        self.tracks: dict[int, _Track] = {}
+        self.last_frame: int | None = None
 
 
 def overlap(j, k_mask: np.ndarray) -> float:
@@ -146,63 +143,59 @@ class _Group:
 
 
 def _segment_order(segments: list[Segment]) -> list[int]:
+    # component indices follow the raster order of each segment's first pixel
     return sorted(
         range(len(segments)),
-        key=lambda i: (-segments[i].size, segments[i].first_pixel_flat),
+        key=lambda i: (-segments[i].size, segments[i].component_index),
     )
 
 
+def _open_tracks(state, group, consumed):
+    """Tracks of the group's class that no other group took in this frame."""
+    for track_id, track in state.tracks.items():
+        if track_id not in consumed and track.class_id == group.class_id:
+            yield track_id, track
+
+
 def _step2_candidates(state, group, frame_index, params, consumed):
-    for track_id, entries in state.entries.items():
-        if track_id in consumed or state.classes[track_id] != group.class_id:
+    for track_id, track in _open_tracks(state, group, consumed):
+        frame1, center1 = track.history[-1]
+        if frame1 != frame_index - 1:
             continue
-        e1 = state.entry_at(track_id, frame_index - 1)
-        if e1 is None:
-            continue
-        e2 = state.entry_at(track_id, frame_index - 2)
-        if e2 is not None:
-            delta = (e1.center[0] - e2.center[0], e1.center[1] - e2.center[1])
+        if len(track.history) > 1 and track.history[-2][0] == frame_index - 2:
+            center2 = track.history[-2][1]
+            delta = (center1[0] - center2[0], center1[1] - center2[1])
             shifted = _shift_mask(
-                e1.mask, _round_half_up(delta[0]), _round_half_up(delta[1])
+                track.mask, _round_half_up(delta[0]), _round_half_up(delta[1])
             )
             ratio = overlap(group.pixels, shifted)
-            shifted_center = (e1.center[0] + delta[0], e1.center[1] + delta[1])
+            shifted_center = (center1[0] + delta[0], center1[1] + delta[1])
             dist = _euclid(group.center, shifted_center)
             if ratio > params.c_over or dist < params.c_dist:
                 yield track_id, ratio, dist
         else:
-            dist = _euclid(group.center, e1.center)
+            dist = _euclid(group.center, center1)
             if dist < params.c_dist:
                 yield track_id, 0.0, dist
 
 
 def _step3_candidates(state, group, frame_index, params, consumed):
-    for track_id in state.entries:
-        if track_id in consumed or state.classes[track_id] != group.class_id:
+    for track_id, track in _open_tracks(state, group, consumed):
+        frame1, center1 = track.history[-1]
+        if frame1 != frame_index - 1:
             continue
-        e1 = state.entry_at(track_id, frame_index - 1)
-        if e1 is None:
-            continue
-        ratio = overlap(group.pixels, e1.mask)
+        ratio = overlap(group.pixels, track.mask)
         if ratio >= params.c_over:
-            yield track_id, ratio, _euclid(group.center, e1.center)
+            yield track_id, ratio, _euclid(group.center, center1)
 
 
 def _step4_candidates(state, group, frame_index, params, consumed):
-    for track_id, entries in state.entries.items():
-        if track_id in consumed or state.classes[track_id] != group.class_id:
-            continue
-        window = [
-            e
-            for e in entries
-            if frame_index - params.history_window <= e.frame_index < frame_index
-        ]
+    start = frame_index - params.history_window
+    for track_id, track in _open_tracks(state, group, consumed):
+        window = [(frame, center) for frame, center in track.history if frame >= start]
         if len(window) < 2:
             continue
-        predicted = predict_center_linreg(
-            [(e.frame_index, e.center) for e in window], frame_index
-        )
-        dist = _euclid(group.center, predicted)
+        dist = _euclid(group.center, predict_center_linreg(window, frame_index))
         if dist < params.c_lin:
             yield track_id, 0.0, dist
 
@@ -217,9 +210,24 @@ def track_frame(
     params: TrackingParams,
     frame_shape,
 ) -> list[TrackAssignment]:
-    """Assign track ids to one frame's segments and update the track state."""
+    """Assign track ids to one frame's segments and update the track state.
+
+    Frames must come in increasing `frame_index` order; a frame without
+    segments leaves the state as it is.  The segments are not modified.
+    """
+    if state.last_frame is not None and frame_index <= state.last_frame:
+        raise ValueError(
+            f"frame_index must increase: got {frame_index} after {state.last_frame}"
+        )
     if not segments:
         return []
+    state.last_frame = frame_index
+    cutoff = frame_index - params.history_window
+    state.tracks = {
+        track_id: track
+        for track_id, track in state.tracks.items()
+        if track.history[-1][0] > cutoff
+    }
     order = _segment_order(segments)
 
     # Step 1: same-frame grouping of nearby same-class segments (transitive).
@@ -262,7 +270,7 @@ def track_frame(
         group.center = (float(pixels[:, 0].mean()), float(pixels[:, 1].mean()))
         group.class_id = segments[group.root].class_id
     group_order = sorted(
-        groups.values(), key=lambda g: (-g.size, segments[g.root].first_pixel_flat)
+        groups.values(), key=lambda g: (-g.size, segments[g.root].component_index)
     )
 
     # Steps 2-4 match groups against tracked entities; each track is consumed
@@ -284,7 +292,11 @@ def track_frame(
     # Step 5: fresh ids for everything still unmatched.
     for group in group_order:
         if group.root not in assigned:
-            assigned[group.root] = (state.new_id(group.class_id), 5)
+            assigned[group.root] = (state.next_id, 5)
+            state.tracks[state.next_id] = _Track(
+                group.class_id, group.mask, deque(maxlen=params.history_window)
+            )
+            state.next_id += 1
 
     assignments = []
     for idx in range(len(segments)):
@@ -298,19 +310,11 @@ def track_frame(
                 matched_step=matched_step.get(idx, step),
             )
         )
-        segments[idx].track_id = track_id
 
     for group in group_order:
-        track_id, _ = assigned[group.root]
-        entry = _TrackEntry(
-            frame_index=frame_index, mask=group.mask, center=group.center
-        )
-        self_entries = state.entries[track_id]
-        self_entries.append(entry)
-        cutoff = frame_index - params.history_window
-        state.entries[track_id] = [
-            e for e in self_entries if e.frame_index >= cutoff
-        ]
+        track = state.tracks[assigned[group.root][0]]
+        track.mask = group.mask
+        track.history.append((frame_index, group.center))
     return assignments
 
 

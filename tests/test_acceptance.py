@@ -226,8 +226,6 @@ def test_criterion_4_tracking_invariants(tmp_path, default_stream):
         labels = heatmaps.predicted_labels(manifest_d.load_softmax(i))
         segs.append(connected_components(labels, len(segs)))
     run_a = track_stream(segs, TrackingParams(), (manifest_d.height, manifest_d.width))
-    for s in (seg for frame in segs for seg in frame):
-        s.track_id = None
     run_b = track_stream(segs, TrackingParams(), (manifest_d.height, manifest_d.width))
     flat_a = [
         (a.frame_index, a.component_index, a.track_id, a.matched_step)

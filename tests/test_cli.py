@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,65 @@ def test_eval_rejects_bad_split_options(
     assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
     assert f"Error: {message}" in result.output
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def mismatched_datasets(runner, pipeline_dir, tmp_path_factory):
+    """(dataset CSV, header) pairs that do not fit together: a T=0 CSV with
+    the T=2 header, and the T=2 CSV with an unknown header format, a header
+    that is not a JSON object, or a header that lacks the history length."""
+    root = tmp_path_factory.mktemp("mismatch")
+    result = runner.invoke(
+        main,
+        [
+            "dataset",
+            "--features", str(pipeline_dir / "features.csv"),
+            "--out", str(root / "t0.csv"),
+            "--header", str(root / "t0.json"),
+            "--classes", "8",
+            "--m", "3",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    header = json.loads((pipeline_dir / "dataset.json").read_text())
+    (root / "format_x.json").write_text(json.dumps({**header, "format": "x"}))
+    (root / "list.json").write_text(json.dumps([header]))
+    del header["history"]
+    (root / "no_history.json").write_text(json.dumps(header))
+    return {
+        "history": (root / "t0.csv", pipeline_dir / "dataset.json"),
+        "format": (pipeline_dir / "dataset.csv", root / "format_x.json"),
+        "list": (pipeline_dir / "dataset.csv", root / "list.json"),
+        "keys": (pipeline_dir / "dataset.csv", root / "no_history.json"),
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        # d = 22 + 8 + 5 * 3 = 45 features; 4 + (T + 1) * 46 columns
+        ("history", r"t0\.csv does not match its header .*: 50 columns, expected 142"),
+        ("format", "unsupported dataset header format: x"),
+        ("list", "unsupported dataset header format: None"),
+        ("keys", r"no_history\.json: dataset header lacks history"),
+    ],
+    ids=["history", "format", "list", "keys"],
+)
+def test_dataset_header_mismatch_is_a_one_line_error(
+    runner, mismatched_datasets, tmp_path, command, case, message
+):
+    dataset, header = mismatched_datasets[case]
+    args = ["--dataset", str(dataset), "--header", str(header)]
+    if command == "train":
+        args += ["--out", str(tmp_path / "model.json"), "--family", "linear"]
+        args += ["--task", "classification"]
+    else:
+        args += ["--out-prefix", str(tmp_path / "report"), "--families", "linear"]
+    result = runner.invoke(main, [command] + args)
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert re.search(f"^Error: .*{message}$", result.output, re.MULTILINE)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -228,3 +228,15 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(back.features, table.features)
     assert np.array_equal(back.iou, table.iou)
     assert np.array_equal(back.labels, table.labels)
+
+
+def test_read_dataset_names_a_renamed_column(tmp_path):
+    rows = [[_row(t, 0, 0, 0.5)] for t in range(3)]
+    table = build_time_series(rows, history=1, num_classes=3, num_stability=2)
+    csv_path = tmp_path / "data.csv"
+    header_path = tmp_path / "data.json"
+    write_dataset(table, csv_path, header_path)
+    text = csv_path.read_text()
+    csv_path.write_text(text.replace("iou_adj", "iou", 1))
+    with pytest.raises(ValueError, match="column 3 is 'iou', expected 'iou_adj'"):
+        read_dataset(csv_path, header_path)

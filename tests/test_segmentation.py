@@ -1,12 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
 import oracles
+from segquality.pipeline import extract_frame, write_segment_csv
 from segquality.segmentation import (
     connected_components,
     inner_mask,
     label_components,
-    segment_table_rows,
 )
 
 
@@ -166,20 +168,24 @@ def test_geometric_center_matches_oracle():
         assert segment.center[1] == pytest.approx(expected[1], abs=1e-12)
 
 
-def test_segment_table_rows_schema():
+def test_write_segment_csv_schema(tmp_path):
     labels = np.array([[0, 1], [0, 1], [0, 0]])
-    segments = connected_components(labels, frame_index=4)
-    segments[0].track_id = 9
-    rows = segment_table_rows(segments)
-    assert rows[0] == {
-        "frame": 4,
-        "component": 0,
-        "class": 0,
-        "size": 4,
-        "size_in": 0,
-        "size_bd": 4,
-        "center_row": pytest.approx(1.25),
-        "center_col": pytest.approx(0.25),
-        "track_id": 9,
+    softmax = np.where(labels[..., None] == np.arange(2), 0.9, 0.1)
+    _, rows = extract_frame(softmax, None, None, 4, num_stability=0)
+    rows[0].track_id = 9
+    path = tmp_path / "segments.csv"
+    write_segment_csv([rows], path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, first, second = csv.reader(fh)
+    assert dict(zip(header, first)) == {
+        "frame": "4",
+        "component": "0",
+        "class": "0",
+        "size": "4",
+        "size_in": "0",
+        "size_bd": "4",
+        "center_row": "1.25",
+        "center_col": "0.25",
+        "track_id": "9",
     }
-    assert rows[1]["track_id"] == -1
+    assert second[header.index("track_id")] == "-1"

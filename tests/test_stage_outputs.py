@@ -79,6 +79,20 @@ def test_track_stage_matches_process_stream_on_default_stream(
     assert out.read_bytes() == reference.read_bytes()
 
 
+def test_track_stage_reproduces_recorded_default_stream(runner, tmp_path):
+    # recorded before the tracker dropped tracks it can no longer match
+    generate_stream(SynthConfig(), tmp_path / "stream")
+    out = tmp_path / "tracking.csv"
+    manifest_path = tmp_path / "stream" / "manifest.json"
+    result = runner.invoke(
+        main, ["track", "--manifest", str(manifest_path), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    with open(os.path.join(DATA, "tracking_default.csv"), "rb") as fh:
+        expected = fh.read()
+    assert out.read_bytes() == expected
+
+
 def test_track_stage_computes_no_features(runner, small_dir, monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("the track stage computed a feature input")

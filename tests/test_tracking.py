@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from segquality.pipeline import stream_segments
 from segquality.segmentation import connected_components
+from segquality.synth import SynthConfig, generate_stream
 from segquality.tracking import (
     TrackingParams,
     TrackState,
@@ -175,6 +177,61 @@ def test_step4_linear_reappearance_match():
     a3 = assignment(3)
     assert a3.track_id == assignment(0).track_id
     assert a3.matched_step == 4
+
+
+def _gap_frames(gap):
+    """A still 5x5 block in frames 0 and 1, absent for `gap` frames, then back."""
+    shape = (40, 40)
+    present = np.zeros(shape, dtype=int)
+    _block(present, 1, 18, 23, 18, 23)
+    absent = np.zeros(shape, dtype=int)
+    return [present, present] + [absent] * gap + [present]
+
+
+@pytest.mark.parametrize(
+    "gap, step",
+    [(PARAMS.history_window - 2, 4), (PARAMS.history_window - 1, 5)],
+)
+def test_step4_gap_boundary(gap, step):
+    """Step 4 needs two entries in the last `history_window` frames; one frame
+    later the track is gone and the block gets a fresh id."""
+    per_frame, assignments = _frames_to_assignments(_gap_frames(gap))
+
+    def block(frame):
+        seg = next(s for s in per_frame[frame] if s.class_id == 1)
+        return next(
+            a for a in assignments[frame] if a.component_index == seg.component_index
+        )
+
+    back = block(len(per_frame) - 1)
+    assert back.matched_step == step
+    if step == 4:
+        assert back.track_id == block(0).track_id
+    else:
+        # ids 0 (background) and 1 (first block) are taken
+        assert back.track_id == 2
+
+
+def test_state_keeps_only_tracks_of_the_last_window(tmp_path):
+    manifest = generate_stream(SynthConfig(), tmp_path / "stream")
+    state = TrackState()
+    shape = (manifest.height, manifest.width)
+    window = PARAMS.history_window
+    ids_by_frame = []
+    for f, segments in enumerate(stream_segments(manifest)):
+        assignments = track_frame(state, segments, f, PARAMS, shape)
+        ids_by_frame.append({a.track_id for a in assignments})
+        recent = set().union(*ids_by_frame[max(0, f - window + 1) :])
+        assert set(state.tracks) == recent
+
+
+def test_frame_index_must_increase():
+    state = TrackState()
+    segments = _segments(np.zeros((5, 5), dtype=int), 3)
+    track_frame(state, segments, 3, PARAMS, (5, 5))
+    for frame_index in (3, 2):
+        with pytest.raises(ValueError, match="frame_index must increase"):
+            track_frame(state, segments, frame_index, PARAMS, (5, 5))
 
 
 def test_step1_groups_nearby_same_class_segments():
