@@ -27,18 +27,18 @@ def extract_frame(
     """
     labels = heatmaps.predicted_labels(softmax)
     segments = segmentation.connected_components(labels, frame_index)
-    maps = list(heatmaps.dispersion_heatmaps(softmax))
+    maps = heatmaps.dispersion_heatmaps(softmax)
     if num_stability > 0:
         if cell_stack is None:
             raise ValueError("cell states required when num_stability > 0")
-        stability_maps = heatmaps.stability_heatmaps(cell_stack)[:num_stability]
-        if len(stability_maps) < num_stability:
+        stability = heatmaps.stability_heatmaps(cell_stack)
+        if len(stability) < num_stability:
             raise ValueError(
-                f"stream provides {len(stability_maps)} stability maps, "
+                f"stream provides {len(stability)} stability maps, "
                 f"requested {num_stability}"
             )
-        maps += stability_maps
-    features = seg_metrics.frame_features(segments, np.stack(maps), softmax)
+        maps = np.concatenate([maps, stability[:num_stability]])
+    features = seg_metrics.frame_features(segments, maps, softmax)
     if gt_labels is not None:
         ious = seg_metrics.frame_adjusted_iou(
             segments.comp_map,

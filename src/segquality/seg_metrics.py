@@ -58,13 +58,13 @@ def _aggregates(labels, inner, values, sizes) -> np.ndarray:
     """(n, k, 5): mean, mean_in, mean_bd, rel, rel_in of each map per label.
 
     `sizes` are the (size, size_in, size_bd) count vectors of the n labels.
-    Sums over all pixels come from one reduction per map; inner and boundary
-    sums from a second one keyed by (label, inner flag).
+    One reduction per map keyed by (label, inner flag) gives the inner and
+    boundary sums; their sum is the total.
     """
     size, size_in, size_bd = sizes
     n = len(size)
-    mean = _sums(labels, values, n) / size
     split = _sums(2 * labels + inner, values, 2 * n).reshape(-1, n, 2)
+    mean = (split[..., 0] + split[..., 1]) / size
     mean_in = np.divide(
         split[..., 1], size_in, out=np.zeros_like(mean), where=size_in > 0
     )

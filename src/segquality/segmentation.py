@@ -34,21 +34,12 @@ class Segment:
         return int(self.inner.sum())
 
     @property
-    def size_boundary(self) -> int:
-        return self.size - self.size_inner
-
-    @property
     def inner_pixels(self) -> np.ndarray:
         return self.pixels[self.inner]
 
     @property
     def boundary_pixels(self) -> np.ndarray:
         return self.pixels[~self.inner]
-
-    def mask(self, shape) -> np.ndarray:
-        out = np.zeros(shape, dtype=bool)
-        out[self.pixels[:, 0], self.pixels[:, 1]] = True
-        return out
 
 
 def label_components(labels: np.ndarray) -> np.ndarray:
@@ -60,19 +51,21 @@ def label_components(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("label frame must be 2-D")
-    combined = np.zeros(labels.shape, dtype=np.int64)
+    # Number the components 0, 1, ... class by class, then renumber them in
+    # raster order of their first pixel.
+    combined = np.zeros(labels.shape, dtype=np.intp)
     offset = 0
     for cls in np.unique(labels):
-        lab, count = ndimage.label(labels == cls, structure=_STRUCTURE_8)
-        sel = lab > 0
-        combined[sel] = lab[sel] + offset
+        mask = labels == cls
+        lab, count = ndimage.label(mask, structure=_STRUCTURE_8)
+        np.add(lab, offset - 1, out=combined, where=mask)
         offset += count
     flat = combined.ravel()
-    values, first_index = np.unique(flat, return_index=True)
-    order = np.argsort(np.argsort(first_index))
-    lut = np.empty(offset + 1, dtype=np.int32)
-    lut[values] = order
-    return lut[flat].reshape(labels.shape)
+    first = np.full(offset, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    lut = np.empty(offset, dtype=np.int32)
+    lut[np.argsort(first)] = np.arange(offset, dtype=np.int32)
+    return lut[combined]
 
 
 def inner_mask(comp_map: np.ndarray) -> np.ndarray:
@@ -107,26 +100,29 @@ def connected_components(labels: np.ndarray, frame_index: int = 0) -> FrameSegme
     labels = np.asarray(labels)
     comp_map = label_components(labels)
     inner = inner_mask(comp_map)
-    num = int(comp_map.max()) + 1
+    flat = comp_map.ravel()
     h, w = labels.shape
-    order = np.argsort(comp_map.ravel(), kind="stable")
-    counts = np.bincount(comp_map.ravel(), minlength=num)
+    counts = np.bincount(flat)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    rows_all, cols_all = np.divmod(order, w)
-    inner_flat = inner.ravel()[order]
-    segments = []
-    for idx in range(num):
-        lo, hi = bounds[idx], bounds[idx + 1]
-        pixels = np.stack([rows_all[lo:hi], cols_all[lo:hi]], axis=1).astype(np.int32)
-        center = (float(pixels[:, 0].mean()), float(pixels[:, 1].mean()))
-        segments.append(
-            Segment(
-                frame_index=frame_index,
-                component_index=idx,
-                class_id=int(labels[pixels[0, 0], pixels[0, 1]]),
-                pixels=pixels,
-                inner=inner_flat[lo:hi].copy(),
-                center=center,
+    order = np.argsort(flat, kind="stable")
+    pixels = np.empty((h * w, 2), dtype=np.int32)
+    pixels[:, 0], pixels[:, 1] = np.divmod(order, w)
+    rows, cols = np.indices((h, w)).reshape(2, -1)
+    # integer coordinate sums are exact, so each center is the rounded mean
+    center_rows = np.bincount(flat, weights=rows) / counts
+    center_cols = np.bincount(flat, weights=cols) / counts
+    inner_sorted = inner.ravel()[order]
+    classes = labels.ravel()[order[bounds[:-1]]]
+    segments = [
+        Segment(frame_index, idx, cls, pixels[lo:hi], inner_sorted[lo:hi], (r, c))
+        for idx, (cls, lo, hi, r, c) in enumerate(
+            zip(
+                classes.tolist(),
+                bounds[:-1].tolist(),
+                bounds[1:].tolist(),
+                center_rows.tolist(),
+                center_cols.tolist(),
             )
         )
+    ]
     return FrameSegments(segments, comp_map, inner)

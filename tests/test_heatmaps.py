@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from segquality import heatmaps
+from segquality.pipeline import extract_frame
 
 
 def _frame(*pixels):
@@ -110,6 +111,49 @@ def test_validate_softmax_rejects_negative():
         heatmaps.validate_softmax(probs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        heatmaps.validate_softmax,
+        heatmaps.dispersion_heatmaps,
+        lambda probs: extract_frame(probs, None, None, 0, 0),
+    ],
+    ids=["validate_softmax", "dispersion_heatmaps", "extract_frame"],
+)
+def test_non_finite_softmax_is_rejected(call, bad):
+    probs = oracles.random_softmax(np.random.default_rng(8), 4, 5, 3)
+    probs[2, 3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        call(probs)
+
+
+def _frame_with_ties(rng, c):
+    """64x96 softmax with one-hot pixels and pixels whose two largest
+    probabilities are exactly equal; returns the frame and the tie mask."""
+    probs = oracles.random_softmax(rng, 64, 96, c, one_hot_fraction=0.1)
+    ties = (rng.random((64, 96)) < 0.1) & (probs.max(axis=2) < 1.0)
+    order = np.argsort(probs, axis=2)
+    rows, cols = np.nonzero(ties)
+    top, runner_up = order[rows, cols, -1], order[rows, cols, -2]
+    probs[rows, cols, runner_up] = probs[rows, cols, top]
+    probs[ties] /= probs[ties].sum(axis=1, keepdims=True)
+    return probs, ties
+
+
+@pytest.mark.parametrize("c", [2, 3, 10])
+def test_dispersion_matches_oracle_with_one_hot_pixels_and_ties(c):
+    probs, ties = _frame_with_ties(np.random.default_rng(c), c)
+    ent, var, mar = heatmaps.dispersion_heatmaps(probs)
+    for ours, theirs in zip((ent, var, mar), oracles.dispersion_frames(probs)):
+        assert np.abs(ours - theirs).max() <= 1e-15
+    assert ties.any()
+    assert (mar[ties] == 1.0).all()
+    one_hot = probs.max(axis=2) == 1.0
+    assert one_hot.any()
+    assert (ent[one_hot] == 0.0).all() and (mar[one_hot] == 0.0).all()
+
+
 def test_mean_cell_state_single_feature_identity():
     block = np.arange(12.0).reshape(3, 4, 1)
     assert np.array_equal(heatmaps.mean_cell_state(block), block[:, :, 0])
@@ -163,3 +207,14 @@ def test_build_cell_state_stack_raw_and_reduced_agree():
     from_raw = heatmaps.build_cell_state_stack(raw_blocks)
     from_reduced = heatmaps.build_cell_state_stack(reduced)
     assert np.allclose(from_raw, from_reduced, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stability_maps_equal_per_block_differences_bit_for_bit(dtype):
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((64, 96, 10)).astype(dtype)
+    maps = heatmaps.stability_heatmaps(stack)
+    assert maps.shape == (9, 64, 96)
+    wide = stack.astype(np.float64)
+    for j in range(1, 10):
+        assert np.array_equal(maps[j - 1], np.abs(wide[..., 0] - wide[..., j]))

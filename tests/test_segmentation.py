@@ -57,6 +57,15 @@ def test_matches_flood_fill_oracle_on_random_frames():
         assert ours == theirs
 
 
+@pytest.mark.parametrize("shape", [(9, 11), (1, 17), (17, 1), (1, 1)])
+def test_label_components_match_flood_fill_with_any_class_ids(shape):
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        labels = rng.choice(np.array([-1, 0, 7, 255]), size=shape)
+        comp, _ = oracles.flood_fill_components(labels)
+        assert np.array_equal(label_components(labels), comp)
+
+
 def test_partition_property():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 4, size=(12, 10))
@@ -99,7 +108,7 @@ def test_inner_boundary_3x3_single_segment():
     labels = np.zeros((3, 3), dtype=int)
     (segment,) = connected_components(labels)
     assert segment.size_inner == 1
-    assert segment.size_boundary == 8
+    assert segment.size - segment.size_inner == 8
     assert tuple(segment.inner_pixels[0]) == (1, 1)
 
 
@@ -107,14 +116,14 @@ def test_inner_boundary_1x5_all_boundary():
     labels = np.zeros((1, 5), dtype=int)
     (segment,) = connected_components(labels)
     assert segment.size_inner == 0
-    assert segment.size_boundary == 5
+    assert segment.size - segment.size_inner == 5
 
 
 def test_inner_boundary_5x5_hand_count():
     labels = np.zeros((5, 5), dtype=int)
     (segment,) = connected_components(labels)
     assert segment.size_inner == 9
-    assert segment.size_boundary == 16
+    assert segment.size - segment.size_inner == 16
 
 
 def test_split_inner_boundary_agrees_with_vectorized_path():
@@ -126,8 +135,8 @@ def test_split_inner_boundary_agrees_with_vectorized_path():
         inner = oracles.inner_pixels(pixels, h, w)
         assert inner == set(map(tuple, segment.inner_pixels.tolist()))
         assert pixels - inner == set(map(tuple, segment.boundary_pixels.tolist()))
-        assert segment.size == segment.size_inner + segment.size_boundary
-        assert segment.size_boundary >= 1
+        assert segment.size == segment.size_inner + len(segment.boundary_pixels)
+        assert segment.size - segment.size_inner >= 1
 
 
 def test_inner_pixels_have_all_neighbors_in_segment():

@@ -1,6 +1,7 @@
 """CLI stage outputs: the label-only track stage, the segment table, and the
 errors and warnings for inputs that cannot make a complete dataset."""
 
+import csv
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from segquality.pipeline import (
     process_stream,
     read_feature_csv,
     read_tracking_csv,
+    write_feature_csv,
     write_tracking_csv,
 )
 from segquality.synth import SynthConfig, generate_stream
@@ -91,6 +93,38 @@ def test_track_stage_reproduces_recorded_default_stream(runner, tmp_path):
     with open(os.path.join(DATA, "tracking_default.csv"), "rb") as fh:
         expected = fh.read()
     assert out.read_bytes() == expected
+
+
+# Columns that come from integer counts, exact coordinate sums and the
+# tracker; every other column is a floating-point reduction over pixels.
+EXACT_FEATURE_COLUMNS = (
+    "frame", "component", "class", "track_id", "iou_adj",
+    "size", "size_in", "size_bd", "size_rel", "size_in_rel",
+    "center_row", "center_col",
+)
+
+
+def test_feature_csv_matches_recorded_output(tmp_path):
+    # recorded from the per-pixel-last dispersion maps (sorted top two,
+    # numpy's last-axis sums) and separate total and inner/boundary sums
+    manifest = generate_stream(SynthConfig(num_frames=24, seed=9), tmp_path)
+    rows_by_frame, _ = process_stream(manifest, 9, TrackingParams())
+    out = tmp_path / "features.csv"
+    write_feature_csv(rows_by_frame, out, manifest.num_classes, 9)
+    with open(os.path.join(DATA, "features_seed9.csv"), newline="") as fh:
+        expected = list(csv.reader(fh))
+    with open(out, newline="") as fh:
+        actual = list(csv.reader(fh))
+    assert actual[0] == expected[0]
+    assert len(actual) == len(expected) > 200
+    for j, name in enumerate(expected[0]):
+        ours = [row[j] for row in actual[1:]]
+        recorded = [row[j] for row in expected[1:]]
+        if name in EXACT_FEATURE_COLUMNS:
+            assert ours == recorded, name
+        else:
+            ours, recorded = np.array(ours, float), np.array(recorded, float)
+            assert (np.abs(ours - recorded) <= 1e-12 * np.abs(recorded)).all(), name
 
 
 def test_track_stage_computes_no_features(runner, small_dir, monkeypatch, tmp_path):

@@ -27,6 +27,12 @@ def _frames_to_assignments(frames):
     return per_frame, track_stream(per_frame, PARAMS, shape)
 
 
+def _mask(segment, shape):
+    out = np.zeros(shape, dtype=bool)
+    out[segment.pixels[:, 0], segment.pixels[:, 1]] = True
+    return out
+
+
 def _block(labels, value, r0, r1, c0, c1):
     labels[r0:r1, c0:c1] = value
     return labels
@@ -36,7 +42,7 @@ def test_overlap_identity_and_disjoint():
     labels = np.zeros((4, 4), dtype=int)
     labels[:2, :2] = 1
     seg = next(s for s in _segments(labels, 0) if s.class_id == 1)
-    mask_same = seg.mask((4, 4))
+    mask_same = _mask(seg, (4, 4))
     assert overlap(seg, mask_same) == 1.0
     assert overlap(seg, np.zeros((4, 4), dtype=bool)) == 0.0
 
@@ -60,7 +66,7 @@ def test_overlap_matches_set_oracle():
         expected = oracles.overlap_ratio(
             set(map(tuple, j.pixels.tolist())), set(map(tuple, k.pixels.tolist()))
         )
-        assert overlap(j, k.mask((8, 8))) == pytest.approx(expected)
+        assert overlap(j, _mask(k, (8, 8))) == pytest.approx(expected)
 
 
 def test_overlap_rejects_empty():
