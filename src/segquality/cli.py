@@ -129,11 +129,15 @@ def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, 
             f"--m must be in [0, {manifest.num_blocks - 1}] for this stream, "
             f"got {num_stability}"
         )
+    try:
+        track_table = read_tracking_csv(tracking_path) if tracking_path else None
+    except ValueError as exc:
+        _fail(str(exc))
     rows_by_frame, _ = process_stream(
         manifest, num_stability, params=None, with_gt=not no_gt
     )
-    if tracking_path:
-        apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
+    if track_table is not None:
+        apply_tracking(rows_by_frame, track_table)
     write_feature_csv(rows_by_frame, out, manifest.num_classes, num_stability)
     if segments_csv:
         write_segment_csv(rows_by_frame, segments_csv)
@@ -170,11 +174,11 @@ def dataset_cmd(
     """Assemble per-segment time-series records from feature and tracking CSVs."""
     try:
         rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
+        if tracking_path:
+            apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
     except ValueError as exc:
         _fail(str(exc))
-    if tracking_path:
-        apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
-    elif history > 0:
+    if not tracking_path and history > 0:
         _fail("--tracking is required when --history > 0")
     try:
         table = assemble_dataset(rows_by_frame, history, num_classes, num_stability)

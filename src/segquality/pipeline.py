@@ -177,10 +177,13 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
     return [rows_by_frame.get(i, []) for i in range(last + 1)]
 
 
+TRACKING_CSV_COLUMNS = ("frame", "component", "track_id", "matched_step")
+
+
 def write_tracking_csv(assignments_by_frame, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "component", "track_id", "matched_step"])
+        writer.writerow(TRACKING_CSV_COLUMNS)
         for assignments in assignments_by_frame:
             for a in assignments:
                 writer.writerow(
@@ -193,7 +196,12 @@ def read_tracking_csv(path):
     table = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader, None)
+        if header != list(TRACKING_CSV_COLUMNS):
+            raise ValueError(
+                f"{path}: not a tracking CSV, its columns must be "
+                f"{', '.join(TRACKING_CSV_COLUMNS)}"
+            )
         for frame, component, track_id, step in reader:
             table[(int(frame), int(component))] = (int(track_id), int(step))
     return table

@@ -136,26 +136,6 @@ def _at_pixels(segment: Segment, frame: np.ndarray) -> np.ndarray:
     return frame[segment.pixels[:, 0], segment.pixels[:, 1]]
 
 
-def aggregate_heatmap(segment: Segment, heatmap: np.ndarray):
-    """Mean of a heatmap over a segment, its interior, and its boundary.
-
-    Returns (mean, mean_in, mean_bd, rel, rel_in) with rel = mean * S / S_bd and
-    rel_in = mean_in * S_in / S_bd.  The interior means default to 0 for
-    segments without inner pixels.
-    """
-    values = _at_pixels(segment, heatmap)[None, :]
-    labels = _segment_labels(segment)
-    sizes = _sizes(labels, segment.inner, 1)
-    aggregates = _aggregates(labels, segment.inner, values, sizes)
-    return tuple(float(v) for v in aggregates[0, 0])
-
-
-def mean_class_probs(segment: Segment, softmax: np.ndarray) -> np.ndarray:
-    """Per-class mean of the softmax probabilities over the segment's pixels."""
-    probs = _at_pixels(segment, softmax).T
-    return _sums(_segment_labels(segment), probs, 1)[:, 0] / segment.size
-
-
 def assemble_features(
     segment: Segment,
     entropy_map: np.ndarray,

@@ -34,10 +34,6 @@ class Segment:
         return int(self.inner.sum())
 
     @property
-    def inner_pixels(self) -> np.ndarray:
-        return self.pixels[self.inner]
-
-    @property
     def boundary_pixels(self) -> np.ndarray:
         return self.pixels[~self.inner]
 

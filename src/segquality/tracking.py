@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,6 +31,9 @@ class TrackingParams:
     history_window: int = 5
 
     def __post_init__(self):
+        for name in ("c_near", "c_over", "c_dist", "c_lin"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if min(self.c_near, self.c_over, self.c_dist, self.c_lin) <= 0:
             raise ValueError("tracking constants must be positive")
         if self.c_over > 1:
@@ -49,36 +52,31 @@ class TrackAssignment:
 
 @dataclass
 class _Track:
-    """What steps 2-4 read of a track: its class, the mask of its latest
-    entry, and the (frame, center) pairs of its latest `history_window`
-    entries, oldest first."""
+    """What steps 2-4 read of a track: its class and the (frame, center)
+    pairs of its latest `history_window` entries, oldest first."""
 
     class_id: int
-    mask: np.ndarray
     history: deque
 
 
 class TrackState:
-    """The tracks a later frame can still match, and the next free id.
+    """The tracks a later frame can still match, the next free id, and the
+    track id of every pixel of the last frame that had segments (-1 where no
+    segment was).
 
     A track is dropped once its latest entry is `history_window` or more
     frames old: step 4 needs two entries in the last `history_window` frames,
     steps 2 and 3 one in the previous frame, so no step could match it again.
+    Steps 2 and 3 read a track's pixels only when its latest entry is the
+    previous frame, and then they are the entries of `track_map` equal to its
+    id.
     """
 
     def __init__(self):
         self.next_id = 0
         self.tracks: dict[int, _Track] = {}
         self.last_frame: int | None = None
-
-
-def overlap(j, k_mask: np.ndarray) -> float:
-    """Fraction of segment j's pixels covered by the pixel set k."""
-    pixels = j.pixels if isinstance(j, Segment) else np.asarray(j)
-    if len(pixels) == 0:
-        raise ValueError("overlap of an empty segment")
-    hit = k_mask[pixels[:, 0], pixels[:, 1]]
-    return float(hit.sum()) / len(pixels)
+        self.track_map: np.ndarray | None = None
 
 
 def predict_center_linreg(history, horizon: int) -> tuple[float, float]:
@@ -96,18 +94,6 @@ def predict_center_linreg(history, horizon: int) -> tuple[float, float]:
         intercept = y.mean() - slope * t_mean
         out.append(slope * horizon + intercept)
     return out[0], out[1]
-
-
-def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    out = np.zeros_like(mask)
-    h, w = mask.shape
-    ys = slice(max(dy, 0), h + min(dy, 0))
-    xs = slice(max(dx, 0), w + min(dx, 0))
-    ys_src = slice(max(-dy, 0), h + min(-dy, 0))
-    xs_src = slice(max(-dx, 0), w + min(-dx, 0))
-    if ys.start < ys.stop and xs.start < xs.stop:
-        out[ys, xs] = mask[ys_src, xs_src]
-    return out
 
 
 def _round_half_up(x: float) -> int:
@@ -130,16 +116,44 @@ def _euclid(a, b) -> float:
 
 @dataclass
 class _Group:
+    """A step-1 group: its root segment, class, pixels (those of all its
+    members), flat pixel indices and center."""
+
     root: int
-    members: list[int]
-    pixels: np.ndarray = field(default=None)
-    mask: np.ndarray = field(default=None)
-    center: tuple[float, float] = field(default=None)
-    class_id: int = 0
+    class_id: int
+    pixels: np.ndarray
+    flat: np.ndarray
+    center: tuple[float, float]
 
     @property
     def size(self) -> int:
         return len(self.pixels)
+
+
+def _make_group(segments: list[Segment], root: int, members: list[int], width: int):
+    pixels = np.concatenate([segments[i].pixels for i in members])
+    rows, cols = pixels[:, 0], pixels[:, 1]
+    return _Group(
+        root=root,
+        class_id=segments[root].class_id,
+        pixels=pixels,
+        flat=rows.astype(np.intp) * width + cols,
+        center=(float(rows.mean()), float(cols.mean())),
+    )
+
+
+def _overlap(track_map: np.ndarray, group: _Group, track_id: int, dy=0, dx=0):
+    """Share of the group's pixels covered by track `track_id` of `track_map`
+    moved by (dy, dx); a pixel whose source lies outside the frame is not
+    covered."""
+    source = group.flat
+    if dy or dx:
+        h, w = track_map.shape
+        rows = group.pixels[:, 0] - dy
+        cols = group.pixels[:, 1] - dx
+        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        source = source[inside] - (dy * w + dx)
+    return np.count_nonzero(track_map.ravel()[source] == track_id) / group.size
 
 
 def _segment_order(segments: list[Segment]) -> list[int]:
@@ -165,10 +179,8 @@ def _step2_candidates(state, group, frame_index, params, consumed):
         if len(track.history) > 1 and track.history[-2][0] == frame_index - 2:
             center2 = track.history[-2][1]
             delta = (center1[0] - center2[0], center1[1] - center2[1])
-            shifted = _shift_mask(
-                track.mask, _round_half_up(delta[0]), _round_half_up(delta[1])
-            )
-            ratio = overlap(group.pixels, shifted)
+            dy, dx = _round_half_up(delta[0]), _round_half_up(delta[1])
+            ratio = _overlap(state.track_map, group, track_id, dy, dx)
             shifted_center = (center1[0] + delta[0], center1[1] + delta[1])
             dist = _euclid(group.center, shifted_center)
             if ratio > params.c_over or dist < params.c_dist:
@@ -184,7 +196,7 @@ def _step3_candidates(state, group, frame_index, params, consumed):
         frame1, center1 = track.history[-1]
         if frame1 != frame_index - 1:
             continue
-        ratio = overlap(group.pixels, track.mask)
+        ratio = _overlap(state.track_map, group, track_id)
         if ratio >= params.c_over:
             yield track_id, ratio, _euclid(group.center, center1)
 
@@ -258,19 +270,12 @@ def track_frame(
             matched_step[idx] = 1
         processed.append(idx)
 
-    groups: dict[int, _Group] = {}
+    members: dict[int, list[int]] = {}
     for idx in order:
-        r = find(idx)
-        groups.setdefault(r, _Group(root=r, members=[])).members.append(idx)
-    for group in groups.values():
-        pixels = np.concatenate([segments[i].pixels for i in group.members])
-        group.pixels = pixels
-        group.mask = np.zeros(frame_shape, dtype=bool)
-        group.mask[pixels[:, 0], pixels[:, 1]] = True
-        group.center = (float(pixels[:, 0].mean()), float(pixels[:, 1].mean()))
-        group.class_id = segments[group.root].class_id
+        members.setdefault(find(idx), []).append(idx)
+    groups = [_make_group(segments, r, m, frame_shape[1]) for r, m in members.items()]
     group_order = sorted(
-        groups.values(), key=lambda g: (-g.size, segments[g.root].component_index)
+        groups, key=lambda g: (-g.size, segments[g.root].component_index)
     )
 
     # Steps 2-4 match groups against tracked entities; each track is consumed
@@ -294,7 +299,7 @@ def track_frame(
         if group.root not in assigned:
             assigned[group.root] = (state.next_id, 5)
             state.tracks[state.next_id] = _Track(
-                group.class_id, group.mask, deque(maxlen=params.history_window)
+                group.class_id, deque(maxlen=params.history_window)
             )
             state.next_id += 1
 
@@ -311,10 +316,11 @@ def track_frame(
             )
         )
 
+    state.track_map = np.full(frame_shape, -1, dtype=np.int64)
     for group in group_order:
-        track = state.tracks[assigned[group.root][0]]
-        track.mask = group.mask
-        track.history.append((frame_index, group.center))
+        track_id = assigned[group.root][0]
+        state.track_map.ravel()[group.flat] = track_id
+        state.tracks[track_id].history.append((frame_index, group.center))
     return assignments
 
 

@@ -17,15 +17,16 @@ from segquality.evaluation import auroc, naive_baseline_accuracy, run_experiment
 from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore
 from segquality.pipeline import assemble_dataset, process_stream
 from segquality.seg_metrics import (
+    BASE_FEATURE_COUNT,
+    ENTROPY_MEAN_INDEX,
     adjusted_iou,
-    aggregate_heatmap,
     feature_count,
     feature_names,
-    mean_class_probs,
+    frame_features,
 )
 from segquality.segmentation import connected_components
 from segquality.synth import SynthConfig, generate_stream
-from segquality.tracking import TrackingParams, overlap, track_stream
+from segquality.tracking import TrackingParams, _make_group, _overlap, track_stream
 from test_meta_models import finite_difference_check
 
 
@@ -55,6 +56,7 @@ def test_criterion_1_naive_baseline_reference_counts():
 def test_criterion_2_formula_oracles_on_random_frames():
     start = time.time()
     rng = np.random.default_rng(20)
+    shift_rng = np.random.default_rng(21)
     checked = {"disp": 0, "agg": 0, "probs": 0, "center": 0, "overlap": 0, "iou": 0}
     for frame in range(100):
         c = int(rng.integers(2, 7))
@@ -68,21 +70,21 @@ def test_criterion_2_formula_oracles_on_random_frames():
 
         labels = heatmaps.predicted_labels(probs)
         segments = connected_components(labels)
+        rows = frame_features(segments, np.stack([ent, var, mar]), probs)
         gt = np.asarray(rng.integers(0, c, size=(32, 32)))
         heatmap = ent
         # a handful of segments per frame keeps the slow oracles affordable
-        for segment in segments[:: max(1, len(segments) // 5)]:
+        for i in range(0, len(segments), max(1, len(segments) // 5)):
+            segment = segments[i]
             pixels = set(map(tuple, segment.pixels.tolist()))
-            inner = set(map(tuple, segment.inner_pixels.tolist()))
+            inner = set(map(tuple, segment.pixels[segment.inner].tolist()))
             expected = oracles.aggregate(pixels, inner, heatmap)
-            assert np.allclose(
-                aggregate_heatmap(segment, heatmap), expected, atol=1e-9
-            )
+            aggregates = rows[i, ENTROPY_MEAN_INDEX : ENTROPY_MEAN_INDEX + 5]
+            assert np.allclose(aggregates, expected, atol=1e-9)
             checked["agg"] += 1
             expected_probs = oracles.class_prob_means(pixels, probs)
-            assert np.allclose(
-                mean_class_probs(segment, probs), expected_probs, atol=1e-9
-            )
+            class_probs = rows[i, BASE_FEATURE_COUNT : BASE_FEATURE_COUNT + c]
+            assert np.allclose(class_probs, expected_probs, atol=1e-9)
             checked["probs"] += 1
             expected_center = oracles.center(pixels)
             actual_center = segment.center
@@ -92,15 +94,23 @@ def test_criterion_2_formula_oracles_on_random_frames():
             expected_iou = oracles.adjusted_iou(pixels, segment.class_id, gt)
             assert abs(adjusted_iou(segment, gt) - expected_iou) < 1e-9
             checked["iou"] += 1
-        if len(segments) >= 2:
-            j, k = segments[0], segments[1]
-            j_set = set(map(tuple, j.pixels.tolist()))
-            k_set = set(map(tuple, k.pixels.tolist()))
-            expected = oracles.overlap_ratio(j_set, k_set)
-            k_mask = np.zeros((32, 32), dtype=bool)
-            k_mask[k.pixels[:, 0], k.pixels[:, 1]] = True
-            assert abs(overlap(j, k_mask) - expected) < 1e-9
-            checked["overlap"] += 1
+        # overlap of segment 0 with a ground-truth component moved by a
+        # random shift, read from the ground truth's component map; the
+        # component is the one the shift brings onto a pixel of segment 0
+        # (clipped into the frame, so the source may lie outside)
+        dy, dx = (int(v) for v in shift_rng.integers(-6, 7, size=2))
+        gt_segments = connected_components(gt)
+        source = np.clip(segments[0].pixels[0] - (dy, dx), 0, 31)
+        k = gt_segments[gt_segments.comp_map[source[0], source[1]]]
+        j_set = set(map(tuple, segments[0].pixels.tolist()))
+        k_set = {(r + dy, col + dx) for r, col in k.pixels.tolist()}
+        expected = oracles.overlap_ratio(j_set, k_set)
+        actual = _overlap(
+            gt_segments.comp_map, _make_group(segments, 0, [0], 32),
+            k.component_index, dy, dx,
+        )
+        assert abs(actual - expected) < 1e-9
+        checked["overlap"] += 1
     elapsed = time.time() - start
     assert elapsed < 30.0
     assert min(checked.values()) >= 100
@@ -124,8 +134,10 @@ def test_criterion_3_normalization_and_range_suite():
 
         labels = heatmaps.predicted_labels(probs)
         gt = np.asarray(rng.integers(0, c, size=(24, 24)))
-        for segment in connected_components(labels):
-            total = mean_class_probs(segment, probs).sum()
+        segments = connected_components(labels)
+        rows = frame_features(segments, np.stack([ent, var, mar]), probs)
+        for segment, row in zip(segments, rows, strict=True):
+            total = row[BASE_FEATURE_COUNT : BASE_FEATURE_COUNT + c].sum()
             assert abs(total - 1.0) <= 1e-5
             value = adjusted_iou(segment, gt)
             assert 0.0 <= value <= 1.0

@@ -416,3 +416,51 @@ def test_eval_threads_match_serial(runner, pipeline_dir, tmp_path):
     assert (tmp_path / "serial.json").read_text() == (
         tmp_path / "parallel.json"
     ).read_text()
+
+
+@pytest.mark.parametrize("name", ["c-near", "c-over", "c-dist", "c-lin"])
+def test_track_rejects_nan_constant(runner, pipeline_dir, tmp_path, name):
+    out = tmp_path / "tracking.csv"
+    manifest = pipeline_dir / "stream" / "manifest.json"
+    result = runner.invoke(
+        main,
+        ["track", "--manifest", str(manifest), "--out", str(out), f"--{name}", "nan"],
+    )
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    constant = name.replace("-", "_")
+    assert result.output == f"Error: {constant} must be a number, got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "dataset", "eval"])
+def test_wrong_tracking_csv_is_a_one_line_error(
+    runner, pipeline_dir, tmp_path, command
+):
+    """A feature CSV passed as --tracking names the file instead of failing
+    while unpacking its rows."""
+    wrong = pipeline_dir / "features.csv"
+    common = ["--tracking", str(wrong), "--m", "3"]
+    args = {
+        "extract": [
+            "--manifest", str(pipeline_dir / "stream" / "manifest.json"),
+            "--out", str(tmp_path / "features.csv"),
+        ],
+        "dataset": [
+            "--features", str(wrong), "--classes", "8",
+            "--out", str(tmp_path / "dataset.csv"),
+            "--header", str(tmp_path / "dataset.json"),
+        ],
+        "eval": [
+            "--grid", "time-series", "--features", str(wrong), "--classes", "8",
+            "--out-prefix", str(tmp_path / "grid"),
+        ],
+    }[command]
+    result = runner.invoke(main, [command] + args + common)
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert re.search(
+        r"^Error: .*features\.csv: not a tracking CSV, its columns must be "
+        r"frame, component, track_id, matched_step$",
+        result.output,
+        re.MULTILINE,
+    )
+    assert not list(tmp_path.iterdir())

@@ -3,14 +3,15 @@ import pytest
 
 import oracles
 from segquality import heatmaps
-from segquality.segmentation import Segment, connected_components
+from segquality.segmentation import connected_components
 from segquality.seg_metrics import (
+    BASE_FEATURE_COUNT,
+    ENTROPY_MEAN_INDEX,
     adjusted_iou,
-    aggregate_heatmap,
     assemble_features,
     feature_count,
     feature_names,
-    mean_class_probs,
+    frame_features,
 )
 
 
@@ -20,11 +21,33 @@ def _single_segment(labels):
     return segments[0]
 
 
+def _features(segments, heatmap=None, softmax=None):
+    """frame_features rows with `heatmap` as the entropy map (zero maps and
+    a uniform two-class softmax where an input is not given)."""
+    shape = segments.comp_map.shape
+    stack = np.zeros((3,) + shape)
+    if heatmap is not None:
+        stack[0] = heatmap
+    if softmax is None:
+        softmax = np.full(shape + (2,), 0.5)
+    return frame_features(segments, stack, softmax)
+
+
+def _aggregates(labels, heatmap):
+    """(mean, mean_in, mean_bd, rel, rel_in) of `heatmap` over each segment."""
+    rows = _features(connected_components(np.asarray(labels)), heatmap)
+    return rows[:, ENTROPY_MEAN_INDEX : ENTROPY_MEAN_INDEX + 5]
+
+
+def _class_probs(labels, softmax):
+    """Per-class mean softmax of each segment."""
+    rows = _features(connected_components(np.asarray(labels)), softmax=softmax)
+    return rows[:, BASE_FEATURE_COUNT : BASE_FEATURE_COUNT + softmax.shape[2]]
+
+
 def test_aggregate_constant_field():
-    segment = _single_segment(np.zeros((4, 4), dtype=int))
-    mean, mean_in, mean_bd, rel, rel_in = aggregate_heatmap(
-        segment, np.full((4, 4), 0.7)
-    )
+    (row,) = _aggregates(np.zeros((4, 4), dtype=int), np.full((4, 4), 0.7))
+    mean, mean_in, mean_bd, rel, rel_in = row
     assert mean == pytest.approx(0.7)
     assert mean_in == pytest.approx(0.7)
     assert mean_bd == pytest.approx(0.7)
@@ -33,10 +56,10 @@ def test_aggregate_constant_field():
 
 
 def test_aggregate_hand_values_3x3():
-    segment = _single_segment(np.zeros((3, 3), dtype=int))
     heatmap = np.zeros((3, 3))
     heatmap[1, 1] = 1.0
-    mean, mean_in, mean_bd, rel, rel_in = aggregate_heatmap(segment, heatmap)
+    (row,) = _aggregates(np.zeros((3, 3), dtype=int), heatmap)
+    mean, mean_in, mean_bd, rel, rel_in = row
     assert mean == pytest.approx(1 / 9)
     assert mean_in == pytest.approx(1.0)
     assert mean_bd == pytest.approx(0.0)
@@ -45,11 +68,10 @@ def test_aggregate_hand_values_3x3():
 
 
 def test_aggregate_empty_interior_convention():
-    segment = _single_segment(np.zeros((1, 5), dtype=int))
-    mean, mean_in, mean_bd, rel, rel_in = aggregate_heatmap(
-        segment, np.full((1, 5), 0.4)
-    )
-    assert segment.size_inner == 0
+    labels = np.zeros((1, 5), dtype=int)
+    (row,) = _aggregates(labels, np.full((1, 5), 0.4))
+    mean, mean_in, mean_bd, rel, rel_in = row
+    assert _single_segment(labels).size_inner == 0
     assert mean_in == 0.0
     assert rel_in == 0.0
     assert mean == pytest.approx(0.4)
@@ -61,34 +83,25 @@ def test_aggregate_matches_bruteforce_on_random_frames():
     for _ in range(5):
         labels = rng.integers(0, 3, size=(9, 9))
         heatmap = rng.random((9, 9))
-        for segment in connected_components(labels):
+        rows = _aggregates(labels, heatmap)
+        for segment, actual in zip(connected_components(labels), rows, strict=True):
             pixels = set(map(tuple, segment.pixels.tolist()))
-            inner = set(map(tuple, segment.inner_pixels.tolist()))
+            inner = set(map(tuple, segment.pixels[segment.inner].tolist()))
             expected = oracles.aggregate(pixels, inner, heatmap)
-            actual = aggregate_heatmap(segment, heatmap)
             assert np.allclose(actual, expected, atol=1e-9)
 
 
 def test_mean_class_probs_constant_one_hot():
     labels = np.zeros((3, 3), dtype=int)
-    segment = _single_segment(labels)
     softmax = np.zeros((3, 3, 3))
     softmax[:, :, 0] = 1.0
-    probs = mean_class_probs(segment, softmax)
+    (probs,) = _class_probs(labels, softmax)
     assert np.allclose(probs, [1.0, 0.0, 0.0])
 
 
 def test_mean_class_probs_two_pixel_average():
-    segment = Segment(
-        frame_index=0,
-        component_index=0,
-        class_id=0,
-        pixels=np.array([[0, 0], [0, 1]]),
-        inner=np.array([False, False]),
-        center=(0.0, 0.5),
-    )
     softmax = np.array([[[0.6, 0.4], [0.2, 0.8]]])
-    probs = mean_class_probs(segment, softmax)
+    (probs,) = _class_probs(np.zeros((1, 2), dtype=int), softmax)
     assert np.allclose(probs, [0.4, 0.6])
 
 
@@ -96,8 +109,9 @@ def test_mean_class_probs_sum_to_one():
     rng = np.random.default_rng(1)
     probs = oracles.random_softmax(rng, 7, 7, 4)
     labels = heatmaps.predicted_labels(probs)
-    for segment in connected_components(labels):
-        total = mean_class_probs(segment, probs).sum()
+    totals = _class_probs(labels, probs).sum(axis=1)
+    assert len(totals) == len(connected_components(labels))
+    for total in totals:
         assert total == pytest.approx(1.0, abs=1e-5)
 
 

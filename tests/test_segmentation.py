@@ -109,7 +109,7 @@ def test_inner_boundary_3x3_single_segment():
     (segment,) = connected_components(labels)
     assert segment.size_inner == 1
     assert segment.size - segment.size_inner == 8
-    assert tuple(segment.inner_pixels[0]) == (1, 1)
+    assert tuple(segment.pixels[segment.inner][0]) == (1, 1)
 
 
 def test_inner_boundary_1x5_all_boundary():
@@ -133,7 +133,7 @@ def test_split_inner_boundary_agrees_with_vectorized_path():
     for segment in connected_components(labels):
         pixels = set(map(tuple, segment.pixels.tolist()))
         inner = oracles.inner_pixels(pixels, h, w)
-        assert inner == set(map(tuple, segment.inner_pixels.tolist()))
+        assert inner == set(map(tuple, segment.pixels[segment.inner].tolist()))
         assert pixels - inner == set(map(tuple, segment.boundary_pixels.tolist()))
         assert segment.size == segment.size_inner + len(segment.boundary_pixels)
         assert segment.size - segment.size_inner >= 1
@@ -146,7 +146,7 @@ def test_inner_pixels_have_all_neighbors_in_segment():
     h, w = labels.shape
     for segment in connected_components(labels):
         pixels = set(map(tuple, segment.pixels.tolist()))
-        for r, c in segment.inner_pixels:
+        for r, c in segment.pixels[segment.inner]:
             assert 0 < r < h - 1 and 0 < c < w - 1
             for dr in (-1, 0, 1):
                 for dc in (-1, 0, 1):

@@ -81,18 +81,31 @@ def test_track_stage_matches_process_stream_on_default_stream(
     assert out.read_bytes() == reference.read_bytes()
 
 
-def test_track_stage_reproduces_recorded_default_stream(runner, tmp_path):
-    # recorded before the tracker dropped tracks it can no longer match
-    generate_stream(SynthConfig(), tmp_path / "stream")
+def _track_stage_output(runner, config, tmp_path):
+    generate_stream(config, tmp_path / "stream")
     out = tmp_path / "tracking.csv"
     manifest_path = tmp_path / "stream" / "manifest.json"
     result = runner.invoke(
         main, ["track", "--manifest", str(manifest_path), "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
+    return out.read_bytes()
+
+
+def test_track_stage_reproduces_recorded_default_stream(runner, tmp_path):
+    # recorded before the tracker dropped tracks it can no longer match
     with open(os.path.join(DATA, "tracking_default.csv"), "rb") as fh:
         expected = fh.read()
-    assert out.read_bytes() == expected
+    assert _track_stage_output(runner, SynthConfig(), tmp_path) == expected
+
+
+def test_track_stage_reproduces_recorded_crowded_stream(runner, tmp_path):
+    # recorded with per-track frame masks; steps [37, 893, 3, 42, 220], so
+    # all five steps match, the plain-overlap step 3 included
+    config = SynthConfig(height=128, width=256, num_objects=40, num_frames=30, seed=0)
+    with open(os.path.join(DATA, "tracking_crowded.csv"), "rb") as fh:
+        expected = fh.read()
+    assert _track_stage_output(runner, config, tmp_path) == expected
 
 
 # Columns that come from integer counts, exact coordinate sums and the

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from segquality.pipeline import stream_segments
-from segquality.segmentation import connected_components
+from segquality.segmentation import Segment, connected_components
 from segquality.synth import SynthConfig, generate_stream
 from segquality.tracking import (
     TrackingParams,
     TrackState,
-    overlap,
+    _make_group,
+    _overlap,
     predict_center_linreg,
     track_frame,
     track_stream,
@@ -27,9 +30,15 @@ def _frames_to_assignments(frames):
     return per_frame, track_stream(per_frame, PARAMS, shape)
 
 
-def _mask(segment, shape):
-    out = np.zeros(shape, dtype=bool)
-    out[segment.pixels[:, 0], segment.pixels[:, 1]] = True
+def _group(segments, i, width):
+    return _make_group(segments, i, [i], width)
+
+
+def _track_map(shape, *pixel_sets):
+    """Track-id map with track i on the pixels of the i-th pixel array."""
+    out = np.full(shape, -1, dtype=np.int64)
+    for track_id, pixels in enumerate(pixel_sets):
+        out[pixels[:, 0], pixels[:, 1]] = track_id
     return out
 
 
@@ -41,37 +50,60 @@ def _block(labels, value, r0, r1, c0, c1):
 def test_overlap_identity_and_disjoint():
     labels = np.zeros((4, 4), dtype=int)
     labels[:2, :2] = 1
-    seg = next(s for s in _segments(labels, 0) if s.class_id == 1)
-    mask_same = _mask(seg, (4, 4))
-    assert overlap(seg, mask_same) == 1.0
-    assert overlap(seg, np.zeros((4, 4), dtype=bool)) == 0.0
+    segments = _segments(labels, 0)
+    i = next(i for i, s in enumerate(segments) if s.class_id == 1)
+    group = _group(segments, i, 4)
+    same = _track_map((4, 4), segments[i].pixels)
+    assert _overlap(same, group, 0) == 1.0
+    assert _overlap(same, group, 1) == 0.0
+    assert _overlap(np.full((4, 4), -1), group, 0) == 0.0
 
 
 def test_overlap_hand_value():
-    j = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    k_mask = np.zeros((3, 4), dtype=bool)
-    k_mask[1, 1] = True
-    k_mask[1, 2] = True
-    assert overlap(j, k_mask) == pytest.approx(0.25)
+    pixels = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int32)
+    segment = Segment(0, 0, 0, pixels, np.zeros(4, dtype=bool), (0.5, 0.5))
+    group = _group([segment], 0, 4)
+    track_map = _track_map((3, 4), np.array([[1, 1], [1, 2]]))
+    assert _overlap(track_map, group, 0) == 0.25
+    # moved by (1, 1), track pixel (0, 0) covers (1, 1); the sources of the
+    # other three pixels lie above or left of the frame
+    track_map = _track_map((3, 4), np.array([[0, 0]]))
+    assert _overlap(track_map, group, 0, 1, 1) == 0.25
+    assert _overlap(track_map, group, 0, -1, 0) == 0.0
 
 
 def test_overlap_matches_set_oracle():
+    """The map reader against set intersection on random layouts, with shifts
+    that move track pixels out of every border (and must not wrap around)."""
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        labels = rng.integers(0, 2, size=(8, 8))
-        segs = _segments(labels, 0)
-        if len(segs) < 2:
-            continue
-        j, k = segs[0], segs[1]
-        expected = oracles.overlap_ratio(
-            set(map(tuple, j.pixels.tolist())), set(map(tuple, k.pixels.tolist()))
-        )
-        assert overlap(j, _mask(k, (8, 8))) == pytest.approx(expected)
-
-
-def test_overlap_rejects_empty():
-    with pytest.raises(ValueError, match="empty"):
-        overlap(np.zeros((0, 2), dtype=int), np.zeros((2, 2), dtype=bool))
+    crossed = set()
+    for _ in range(40):
+        h, w = (int(v) for v in rng.integers(3, 12, size=2))
+        current = _segments(rng.integers(0, 2, size=(h, w)), 1)
+        previous = connected_components(rng.integers(0, 3, size=(h, w)), 0)
+        track_map = previous.comp_map.astype(np.int64)
+        for i, segment in enumerate(current):
+            group = _group(current, i, w)
+            j_set = set(map(tuple, segment.pixels.tolist()))
+            for k in previous:
+                dy, dx = (int(v) for v in rng.integers(-4, 5, size=2))
+                k_pixels = k.pixels + np.array([dy, dx])
+                crossed |= {
+                    name
+                    for name, out in (
+                        ("top", k_pixels[:, 0] < 0),
+                        ("bottom", k_pixels[:, 0] >= h),
+                        ("left", k_pixels[:, 1] < 0),
+                        ("right", k_pixels[:, 1] >= w),
+                    )
+                    if out.any()
+                }
+                expected = oracles.overlap_ratio(
+                    j_set, set(map(tuple, k_pixels.tolist()))
+                )
+                actual = _overlap(track_map, group, k.component_index, dy, dx)
+                assert actual == expected
+    assert crossed == {"top", "bottom", "left", "right"}
 
 
 def test_linreg_exact_line():
@@ -152,10 +184,10 @@ def test_step2_shifted_overlap_match():
     assert a2.track_id == tid(0, 1).track_id
     assert a2.matched_step == 2
     # sanity: the raw overlap ratio of the fixture is exactly 0.5
-    shifted = np.zeros(shape, dtype=bool)
-    shifted[68:73, 68:73] = True
-    seg2 = next(s for s in per_frame[2] if s.class_id == 1)
-    assert overlap(seg2, shifted) == pytest.approx(0.5)
+    seg1 = next(s for s in per_frame[1] if s.class_id == 1)
+    i2 = next(i for i, s in enumerate(per_frame[2]) if s.class_id == 1)
+    group = _group(per_frame[2], i2, shape[1])
+    assert _overlap(_track_map(shape, seg1.pixels), group, 0, 10, 10) == 0.5
 
 
 def test_step4_linear_reappearance_match():
@@ -183,6 +215,42 @@ def test_step4_linear_reappearance_match():
     a3 = assignment(3)
     assert a3.track_id == assignment(0).track_id
     assert a3.matched_step == 4
+
+
+def _assignment(per_frame, assignments, frame, cls):
+    seg = next(s for s in per_frame[frame] if s.class_id == cls)
+    return next(
+        a for a in assignments[frame] if a.component_index == seg.component_index
+    )
+
+
+def test_step3_plain_overlap_match():
+    """A block moved by 3 px is too far for step 2's center distance but
+    overlaps its previous position by 7/10."""
+    shape = (40, 40)
+    f0 = _block(np.zeros(shape, dtype=int), 1, 20, 30, 20, 30)
+    f1 = _block(np.zeros(shape, dtype=int), 1, 23, 33, 20, 30)
+    per_frame = [_segments(f, i) for i, f in enumerate((f0, f1))]
+    assignments = track_stream(per_frame, TrackingParams(c_dist=0.5), shape)
+    moved = _assignment(per_frame, assignments, 1, 1)
+    assert moved.track_id == _assignment(per_frame, assignments, 0, 1).track_id
+    assert moved.matched_step == 3
+
+
+def test_step2_shifted_track_crossing_the_border():
+    """The shifted track runs 2 px past the right border; the pixels left
+    inside cover the whole clipped block, so step 2 matches on overlap."""
+    shape = (20, 42)
+    f0 = _block(np.zeros(shape, dtype=int), 1, 8, 14, 32, 38)
+    f1 = _block(np.zeros(shape, dtype=int), 1, 8, 14, 35, 41)  # step 3, 3/6
+    f2 = _block(np.zeros(shape, dtype=int), 1, 8, 14, 38, 42)  # shift (0, 3)
+    per_frame = [_segments(f, i) for i, f in enumerate((f0, f1, f2))]
+    assignments = track_stream(per_frame, TrackingParams(c_dist=0.5), shape)
+    first = _assignment(per_frame, assignments, 0, 1).track_id
+    assert _assignment(per_frame, assignments, 1, 1).matched_step == 3
+    clipped = _assignment(per_frame, assignments, 2, 1)
+    assert clipped.track_id == first
+    assert clipped.matched_step == 2
 
 
 def _gap_frames(gap):
@@ -314,9 +382,31 @@ def test_empty_frame_list_and_degenerate_frames():
     assert len(out) == 1 and out[0].matched_step == 5
 
 
+def test_state_memory_is_one_map_plus_a_little_per_track(tmp_path):
+    """Retained tracker state after a crowded stream: one int64 track-id map
+    of the frame, plus at most 4 KB for each live track."""
+    config = SynthConfig(height=128, width=256, num_objects=40, num_frames=30, seed=0)
+    manifest = generate_stream(config, tmp_path / "stream")
+    shape = (manifest.height, manifest.width)
+    per_frame = list(stream_segments(manifest))
+    tracemalloc.start()
+    try:
+        state = TrackState()
+        for f, segments in enumerate(per_frame):
+            track_frame(state, segments, f, PARAMS, shape)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.tracks) > 40
+    assert retained < 8 * shape[0] * shape[1] + 4096 * len(state.tracks)
+
+
 def test_tracking_params_validation():
     with pytest.raises(ValueError, match="positive"):
         TrackingParams(c_near=0)
+    for name in ("c_near", "c_over", "c_dist", "c_lin"):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan"):
+            TrackingParams(**{name: float("nan")})
     with pytest.raises(ValueError, match="c_over"):
         TrackingParams(c_over=1.5)
     with pytest.raises(ValueError, match="history_window"):
