@@ -329,6 +329,9 @@ def eval_cmd(
                 _fail(f"{flag} is required for the time-series grid")
         try:
             t_list = [int(v) for v in t_values.split(",") if v.strip()]
+        except ValueError:
+            _fail(f"--t-values must be integers, got {t_values!r}")
+        try:
             rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
             apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
             report = run_time_series_experiment(

@@ -209,6 +209,21 @@ def _column_mismatch(got: list, expected: list) -> str:
     return f"column {i} is {got[i]!r}, expected {expected[i]!r}"
 
 
+def for_each_csv_row(reader, path, width: int, read_row) -> None:
+    """Call `read_row(row)` on every row left in a csv reader.
+
+    A row without `width` fields, or one `read_row` rejects with a ValueError,
+    raises a ValueError that names the file and the line.
+    """
+    for row in reader:
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} fields, expected {width}")
+            read_row(row)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
     """Serialize a record table as CSV (one row per record) plus a JSON header."""
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -257,7 +272,8 @@ def read_dataset(csv_path, header_path) -> MetaRecordTable:
                 f"(classes={num_classes}, m={num_stability}, history={history}): "
                 + _column_mismatch(columns, expected)
             )
-        for row in reader:
+
+        def read_row(row):
             frames.append(int(row[0]))
             components.append(int(row[1]))
             track_ids.append(int(row[2]))
@@ -267,6 +283,8 @@ def read_dataset(csv_path, header_path) -> MetaRecordTable:
             base += history + 1
             values = np.array([float(v) for v in row[base:]])
             feats.append(values.reshape(history + 1, dim))
+
+        for_each_csv_row(reader, csv_path, len(expected), read_row)
     n = len(frames)
     return MetaRecordTable(
         num_classes=num_classes,

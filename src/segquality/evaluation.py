@@ -6,6 +6,7 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -49,30 +50,6 @@ def auroc(labels, scores) -> float:
     ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     u_stat = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))
-
-
-def roc_points(labels, scores):
-    """ROC curve points for external plotting: (fpr, tpr, threshold) rows.
-
-    One point per distinct score, swept from the highest threshold down, with
-    the (0, 0) start point; trapezoidal area under these points equals auroc.
-    """
-    labels = np.asarray(labels).astype(bool)
-    scores = np.asarray(scores, dtype=np.float64)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("roc_points needs at least one positive and one negative")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_labels = labels[order]
-    sorted_scores = scores[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(~sorted_labels)
-    last_of_group = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    rows = [(0.0, 0.0, float("inf"))]
-    for i in np.flatnonzero(last_of_group):
-        rows.append((fp[i] / n_neg, tp[i] / n_pos, float(sorted_scores[i])))
-    return rows
 
 
 def r_squared(targets, predictions) -> float:
@@ -178,17 +155,6 @@ class EvalReport:
                     + [repr(row[c]) if c in row else "" for c in metric_cols]
                 )
 
-    def find(self, family: str, task: str, num_stability: int, history: int) -> EvalCell:
-        for cell in self.cells + self.baselines:
-            if (
-                cell.family == family
-                and cell.task == task
-                and cell.num_stability == num_stability
-                and cell.history == history
-            ):
-                return cell
-        raise KeyError(f"no cell for {family}/{task}/m={num_stability}/T={history}")
-
 
 def _check_m(table: MetaRecordTable, num_stability: int) -> None:
     if not 0 <= num_stability <= table.num_stability:
@@ -253,14 +219,9 @@ def fit_split(
     return train_model(model_spec, train, val), test, standardizer
 
 
-def _train_eval_once(
-    table: MetaRecordTable,
-    model_spec: ModelSpec,
-    num_stability: int,
-    split_spec: SplitSpec,
-    run: int,
-    feature_slice: slice | None = None,
-) -> dict[str, float]:
+def _grid_job(args) -> dict[str, float]:
+    """Fit one split run of one report cell and score it on the test part."""
+    table, model_spec, num_stability, split_spec, run, feature_slice = args
     model, test, _ = fit_split(
         table, model_spec, num_stability, split_spec, run, feature_slice
     )
@@ -269,19 +230,6 @@ def _train_eval_once(
     if model_spec.task == "classification":
         return {"acc": accuracy(y, scores), "auroc": auroc(y, scores)}
     return {"sigma": regression_sigma(y, scores), "r2": r_squared(y, scores)}
-
-
-def _summarize(per_run: dict[str, list[float]]) -> dict[str, tuple[float, float]]:
-    return {
-        name: (float(np.mean(vals)), float(np.std(vals)))
-        for name, vals in per_run.items()
-    }
-
-
-def _grid_job(args):
-    table, model_spec, m, split_spec, run = args
-    metrics = _train_eval_once(table, model_spec, m, split_spec, run)
-    return (model_spec.family, model_spec.task, m, table.history, run, metrics)
 
 
 def run_experiment(
@@ -297,42 +245,54 @@ def run_experiment(
 
     The table's history length T is fixed by its construction; sweeping T means
     building tables for each T and calling this per table.  Results are
-    averaged over `split_spec.runs` deterministic splits.
+    averaged over `split_spec.runs` deterministic splits.  With baselines on,
+    a T=0 table also gets the entropy baseline: gradient boosting on the mean
+    segment entropy alone, one cell per task, fitted like the grid cells.
     """
     for m in m_values:
         _check_m(table, m)
-    jobs = []
-    for family in families:
-        for task in tasks:
-            for m in m_values:
-                for run in range(split_spec.runs):
-                    model_spec = ModelSpec(family=family, task=task, seed=run)
-                    jobs.append((table, model_spec, m, split_spec, run))
+    # (cell, model family, feature slice) per report cell
+    plan = [
+        (EvalCell(family, task, m, table.history, {}), family, None)
+        for family, task, m in sorted(set(product(families, tasks, m_values)))
+    ]
+    num_grid = len(plan)
+    if include_baselines and table.history == 0:
+        entropy = slice(ENTROPY_MEAN_INDEX, ENTROPY_MEAN_INDEX + 1)
+        plan += [
+            (EvalCell("entropy_gb", task, 0, 0, {}), "gradient_boosting", entropy)
+            for task in tasks
+        ]
+    jobs = [
+        (
+            table,
+            ModelSpec(family=family, task=cell.task, seed=run),
+            cell.num_stability,
+            split_spec,
+            run,
+            feature_slice,
+        )
+        for cell, family, feature_slice in plan
+        for run in range(split_spec.runs)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_grid_job, jobs))
     else:
         outcomes = [_grid_job(job) for job in jobs]
 
-    cells: dict[tuple, EvalCell] = {}
-    for family, task, m, t_hist, run, metrics in outcomes:
-        key = (family, task, m, t_hist)
-        cell = cells.get(key)
-        if cell is None:
-            cell = EvalCell(family, task, m, t_hist, {}, {})
-            cells[key] = cell
+    cells = [cell for cell, *_ in plan]
+    for i, metrics in enumerate(outcomes):
+        per_run = cells[i // split_spec.runs].per_run
         for name, value in metrics.items():
-            cell.per_run.setdefault(name, []).append(value)
-    ordered = [cells[key] for key in sorted(cells)]
-    for cell in ordered:
-        cell.metrics = _summarize(cell.per_run)
-
-    baselines = []
-    if include_baselines:
-        baselines.append(naive_baseline_cell(table))
-        if table.history == 0:
-            baselines.extend(entropy_baseline(table, split_spec, tasks))
-    report = EvalReport(cells=ordered, baselines=baselines)
+            per_run.setdefault(name, []).append(value)
+    for cell in cells:
+        cell.metrics = {
+            name: (float(np.mean(vals)), float(np.std(vals)))
+            for name, vals in cell.per_run.items()
+        }
+    naive = [naive_baseline_cell(table)] if include_baselines else []
+    report = EvalReport(cells=cells[:num_grid], baselines=naive + cells[num_grid:])
     report.annotate_best()
     return report
 
@@ -387,35 +347,3 @@ def naive_baseline_cell(table: MetaRecordTable) -> EvalCell:
         history=table.history,
         metrics={"acc": (acc, 0.0), "auroc": (0.5, 0.0)},
     )
-
-
-def entropy_baseline(
-    table: MetaRecordTable,
-    split_spec: SplitSpec,
-    tasks=("classification", "regression"),
-) -> list[EvalCell]:
-    """Single-frame gradient boosting on the mean segment entropy alone."""
-    if table.history != 0:
-        raise ValueError("entropy baseline expects a single-frame (T=0) dataset")
-    column = slice(ENTROPY_MEAN_INDEX, ENTROPY_MEAN_INDEX + 1)
-    cells = []
-    for task in tasks:
-        per_run: dict[str, list[float]] = {}
-        for run in range(split_spec.runs):
-            model_spec = ModelSpec(family="gradient_boosting", task=task, seed=run)
-            metrics = _train_eval_once(
-                table, model_spec, 0, split_spec, run, feature_slice=column
-            )
-            for name, value in metrics.items():
-                per_run.setdefault(name, []).append(value)
-        cells.append(
-            EvalCell(
-                family="entropy_gb",
-                task=task,
-                num_stability=0,
-                history=0,
-                metrics=_summarize(per_run),
-                per_run=per_run,
-            )
-        )
-    return cells

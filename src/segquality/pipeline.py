@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from . import heatmaps, seg_metrics, segmentation, tracking
-from .dataset import MetaRecordTable, build_time_series
+from .dataset import MetaRecordTable, build_time_series, for_each_csv_row
 from .seg_metrics import SegmentFeatures, feature_names
 from .tensor_io import StreamManifest
 
@@ -156,7 +156,8 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
             raise ValueError(f"{path}: unexpected feature CSV header")
         size_idx = 5 + names.index("size")
         size_in_idx = 5 + names.index("size_in")
-        for record in reader:
+
+        def read_row(record):
             features = np.array([float(v) for v in record[5:]])
             row = SegmentFeatures(
                 frame_index=int(record[0]),
@@ -171,6 +172,8 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
                 track_id=int(record[3]),
             )
             rows_by_frame.setdefault(row.frame_index, []).append(row)
+
+        for_each_csv_row(reader, path, len(header), read_row)
     if not rows_by_frame:
         return []
     last = max(rows_by_frame)
@@ -202,8 +205,12 @@ def read_tracking_csv(path):
                 f"{path}: not a tracking CSV, its columns must be "
                 f"{', '.join(TRACKING_CSV_COLUMNS)}"
             )
-        for frame, component, track_id, step in reader:
-            table[(int(frame), int(component))] = (int(track_id), int(step))
+
+        def read_row(row):
+            frame, component, track_id, step = (int(v) for v in row)
+            table[(frame, component)] = (track_id, step)
+
+        for_each_csv_row(reader, path, len(header), read_row)
     return table
 
 

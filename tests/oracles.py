@@ -159,6 +159,30 @@ def auroc_threshold_sweep(labels, scores):
     return area
 
 
+def roc_points(labels, scores):
+    """ROC curve points as (fpr, tpr, threshold) rows.
+
+    One point per distinct score, swept from the highest threshold down, with
+    the (0, 0) start point; trapezoidal area under these points equals auroc.
+    """
+    labels = np.asarray(labels).astype(bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("roc_points needs at least one positive and one negative")
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_labels = labels[order]
+    sorted_scores = scores[order]
+    tp = np.cumsum(sorted_labels)
+    fp = np.cumsum(~sorted_labels)
+    last_of_group = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
+    rows = [(0.0, 0.0, float("inf"))]
+    for i in np.flatnonzero(last_of_group):
+        rows.append((fp[i] / n_neg, tp[i] / n_pos, float(sorted_scores[i])))
+    return rows
+
+
 def tree_apply(tree, X):
     """Leaf value of every row of X, walking a tree dict node by node."""
     out = []

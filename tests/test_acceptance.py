@@ -30,6 +30,16 @@ from segquality.tracking import TrackingParams, _make_group, _overlap, track_str
 from test_meta_models import finite_difference_check
 
 
+def _means(report):
+    """{(family, task, m, T): {metric: mean}} over grid and baseline cells."""
+    return {
+        (cell.family, cell.task, cell.num_stability, cell.history): {
+            name: mean for name, (mean, _) in cell.metrics.items()
+        }
+        for cell in report.cells + report.baselines
+    }
+
+
 @pytest.fixture(scope="module")
 def default_stream(tmp_path_factory):
     """The default synthetic stream: seed 42, p_err = 0.15, >= 2000 segments."""
@@ -318,13 +328,10 @@ def test_criterion_7_end_to_end_signal_recovery(default_stream):
         split_spec=split_spec,
         include_baselines=True,
     )
-    gb_auroc = report.find("gradient_boosting", "classification", 9, 0).metrics[
-        "auroc"
-    ][0]
-    gb_r2 = report.find("gradient_boosting", "regression", 9, 0).metrics["r2"][0]
-    entropy_auroc = report.find("entropy_gb", "classification", 0, 0).metrics[
-        "auroc"
-    ][0]
+    means = _means(report)
+    gb_auroc = means["gradient_boosting", "classification", 9, 0]["auroc"]
+    gb_r2 = means["gradient_boosting", "regression", 9, 0]["r2"]
+    entropy_auroc = means["entropy_gb", "classification", 0, 0]["auroc"]
 
     linear_report = run_experiment(
         table,
@@ -334,8 +341,9 @@ def test_criterion_7_end_to_end_signal_recovery(default_stream):
         split_spec=split_spec,
         include_baselines=False,
     )
-    lin_m0 = linear_report.find("linear", "classification", 0, 0).metrics["auroc"][0]
-    lin_m9 = linear_report.find("linear", "classification", 9, 0).metrics["auroc"][0]
+    means = _means(linear_report)
+    lin_m0 = means["linear", "classification", 0, 0]["auroc"]
+    lin_m9 = means["linear", "classification", 9, 0]["auroc"]
 
     elapsed = time.time() - start
     # (a) strong meta classification, clearly above the entropy baseline

@@ -464,3 +464,60 @@ def test_wrong_tracking_csv_is_a_one_line_error(
         re.MULTILINE,
     )
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fault", ["short", "not_int"])
+@pytest.mark.parametrize("source", ["tracking.csv", "features.csv", "dataset.csv"])
+def test_bad_csv_row_is_a_one_line_error(
+    runner, pipeline_dir, tmp_path, source, fault
+):
+    """A data row of the wrong width or with a non-integer id names the file
+    and the line instead of failing while unpacking or indexing it."""
+    lines = (pipeline_dir / source).read_text().splitlines()
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:3] if fault == "short" else ["zero"] + fields[1:])
+    bad = tmp_path / "in" / source
+    bad.parent.mkdir()
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    features, tracking = (
+        bad if source == name else pipeline_dir / name
+        for name in ("features.csv", "tracking.csv")
+    )
+    if source == "dataset.csv":
+        args = [
+            "eval", "--dataset", str(bad),
+            "--header", str(pipeline_dir / "dataset.json"),
+            "--families", "linear", "--out-prefix", str(out / "report"),
+        ]
+    else:
+        args = [
+            "dataset", "--features", str(features), "--tracking", str(tracking),
+            "--classes", "8", "--m", "3",
+            "--out", str(out / "dataset.csv"), "--header", str(out / "dataset.json"),
+        ]
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    message = {
+        "short": f"3 fields, expected {len(lines[0].split(','))}",
+        "not_int": "invalid literal for int() with base 10: 'zero'",
+    }[fault]
+    assert result.output == f"Error: {bad}, line 3: {message}\n"
+    assert not list(out.iterdir())
+
+
+def test_eval_rejects_non_integer_t_values(runner, pipeline_dir, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--grid", "time-series",
+            "--features", str(pipeline_dir / "features.csv"),
+            "--tracking", str(pipeline_dir / "tracking.csv"),
+            "--classes", "8", "--m", "3", "--t-values", "0,x",
+            "--out-prefix", str(tmp_path / "grid"),
+        ],
+    )
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert result.output == "Error: --t-values must be integers, got '0,x'\n"
+    assert not list(tmp_path.iterdir())

@@ -6,11 +6,9 @@ from segquality.dataset import SplitSpec, build_time_series
 from segquality.evaluation import (
     accuracy,
     auroc,
-    entropy_baseline,
     naive_baseline_accuracy,
     r_squared,
     regression_sigma,
-    roc_points,
     run_experiment,
     run_time_series_experiment,
 )
@@ -71,7 +69,7 @@ def test_roc_points_area_equals_auroc():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.random(n), 1)
-        points = roc_points(labels, scores)
+        points = oracles.roc_points(labels, scores)
         assert points[0][:2] == (0.0, 0.0)
         assert points[-1][:2] == (1.0, 1.0)
         fprs = [p[0] for p in points]
@@ -161,10 +159,16 @@ def _synthetic_table(entropy_signal, n=400, seed=0, num_classes=3):
     return build_time_series([rows], 0, num_classes, 0)
 
 
+def _entropy_cells(table, spec, tasks=("classification", "regression")):
+    """The entropy baseline cells of a report with no grid cells."""
+    report = run_experiment(table, (), tasks, (), spec)
+    return [c for c in report.baselines if c.family == "entropy_gb"]
+
+
 def test_entropy_baseline_separable_fixture():
     table = _synthetic_table(entropy_signal=True)
     spec = SplitSpec(runs=3, base_seed=7)
-    cells = entropy_baseline(table, spec)
+    cells = _entropy_cells(table, spec)
     cls = next(c for c in cells if c.task == "classification")
     mean_auroc, std_auroc = cls.metrics["auroc"]
     assert mean_auroc > 0.99
@@ -178,7 +182,7 @@ def test_entropy_baseline_uninformative_feature_is_chance_level():
     for seed in range(10):
         table = _synthetic_table(entropy_signal=False, seed=seed)
         spec = SplitSpec(runs=1, base_seed=seed)
-        cells = entropy_baseline(table, spec, tasks=("classification",))
+        cells = _entropy_cells(table, spec, tasks=("classification",))
         aurocs.append(cells[0].metrics["auroc"][0])
     assert abs(float(np.mean(aurocs)) - 0.5) < 0.05
 

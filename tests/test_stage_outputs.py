@@ -2,6 +2,7 @@
 errors and warnings for inputs that cannot make a complete dataset."""
 
 import csv
+import json
 import os
 
 import numpy as np
@@ -197,3 +198,66 @@ def test_complete_tracking_csv_does_not_warn(small_dir, recwarn):
     apply_tracking(rows_by_frame, read_tracking_csv(small_dir / "tracking.csv"))
     assert all(row.track_id >= 0 for rows in rows_by_frame for row in rows)
     assert not [w for w in recwarn if "tracking CSV" in str(w.message)]
+
+
+def _within(ours, recorded, rel=1e-12):
+    """Same structure and values, floats within `rel` relative."""
+    if isinstance(recorded, dict):
+        return ours.keys() == recorded.keys() and all(
+            _within(ours[k], recorded[k], rel) for k in recorded
+        )
+    if isinstance(recorded, list):
+        return len(ours) == len(recorded) and all(
+            _within(a, b, rel) for a, b in zip(ours, recorded)
+        )
+    if isinstance(recorded, float):
+        return abs(ours - recorded) <= rel * abs(recorded)
+    return ours == recorded
+
+
+def _csv_values(text):
+    def value(field):
+        try:
+            return float(field)
+        except ValueError:
+            return field
+
+    return [[value(f) for f in row] for row in csv.reader(text.splitlines())]
+
+
+def test_eval_report_matches_recorded_output(runner, tmp_path):
+    """Grid and baseline cells, serial and in a worker pool, equal the report
+    recorded when the entropy baseline had its own serial fit loop."""
+    dataset, header = tmp_path / "dataset.csv", tmp_path / "dataset.json"
+    result = runner.invoke(
+        main,
+        [
+            "dataset", "--features", os.path.join(DATA, "features_seed9.csv"),
+            "--classes", "10", "--m", "9", "--history", "0",
+            "--out", str(dataset), "--header", str(header),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == f"wrote 204 records to {dataset}\n"
+    reports = []
+    for threads in ("1", "2"):
+        prefix = tmp_path / f"report_t{threads}"
+        result = runner.invoke(
+            main,
+            [
+                "eval", "--dataset", str(dataset), "--header", str(header),
+                "--families", "linear,gradient_boosting", "--m-values", "0,9",
+                "--runs", "2", "--threads", threads, "--out-prefix", str(prefix),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        paths = (tmp_path / f"report_t{threads}.{ext}" for ext in ("json", "csv"))
+        reports.append([path.read_text() for path in paths])
+    assert reports[0] == reports[1]
+    ours_json, ours_csv = reports[0]
+    with open(os.path.join(DATA, "report_seed9.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert _within(json.loads(ours_json), recorded)
+    with open(os.path.join(DATA, "report_seed9.csv"), encoding="utf-8") as fh:
+        recorded_csv = fh.read()
+    assert _within(_csv_values(ours_csv), _csv_values(recorded_csv))
