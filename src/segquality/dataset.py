@@ -70,6 +70,11 @@ class MetaRecordTable:
         return self.features[:, :, :dim].reshape(len(self), -1)
 
 
+def check_history(history: int) -> None:
+    if not 0 <= history <= MAX_HISTORY:
+        raise ValueError(f"history must be in [0, {MAX_HISTORY}], got {history}")
+
+
 def build_time_series(
     rows_by_frame: list[list[SegmentFeatures]],
     history: int,
@@ -83,8 +88,7 @@ def build_time_series(
     same-frame segments share a track id, the largest (ties: first component)
     acts as the track's representative.
     """
-    if not 0 <= history <= MAX_HISTORY:
-        raise ValueError(f"history must be in [0, {MAX_HISTORY}], got {history}")
+    check_history(history)
     dim = feature_count(num_classes, num_stability)
     by_track: dict[tuple[int, int], SegmentFeatures] = {}
     for rows in rows_by_frame:

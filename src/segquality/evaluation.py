@@ -311,10 +311,14 @@ def run_time_series_experiment(
 
     Each T is evaluated at m = num_stability plus the m = 0 baseline cell, so
     the report carries both the proposed metric set and the plain time-series
-    baseline per history length.
+    baseline per history length.  Repeated T values count once, and every T
+    is checked before the first fit.
     """
-    from .dataset import build_time_series
+    from .dataset import build_time_series, check_history
 
+    t_values = list(dict.fromkeys(t_values))
+    for history in t_values:
+        check_history(history)
     m_values = (0, num_stability) if num_stability > 0 else (0,)
     cells: list[EvalCell] = []
     baselines: list[EvalCell] = []

@@ -222,6 +222,63 @@ def logistic_ridge_minimizer(X, y, ridge):
     return result.x[:-1], result.x[-1]
 
 
+def lstm_loss_and_grad(params, task, hidden, X, y, mask):
+    """Loss and parameter gradients of the single-layer LSTM meta model.
+
+    The plain per-step formulation: scipy's `expit`, a tuple of caches per
+    step, the four gate gradients joined with `np.concatenate`, and the mask
+    applied as a blend, m * new + (1 - m) * old.  Steps run oldest first.
+    """
+    from scipy.special import expit
+
+    n, steps, _ = X.shape
+    h = np.zeros((n, hidden))
+    c = np.zeros((n, hidden))
+    caches = []
+    for s in range(steps):
+        x_s = X[:, s, :]
+        m = mask[:, s][:, None]
+        z = x_s @ params["wx"] + h @ params["wh"] + params["b"]
+        i = expit(z[:, :hidden])
+        f = expit(z[:, hidden : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = expit(z[:, 3 * hidden :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        caches.append((x_s, h, c, i, f, g, o, tanh_c, m))
+        c = m * c_new + (1.0 - m) * c
+        h = m * (o * tanh_c) + (1.0 - m) * h
+    raw = h @ params["w_out"] + params["b_out"][0]
+    if task == "classification":
+        loss = np.mean(np.logaddexp(0.0, raw) - y * raw)
+        draw = (expit(raw) - y) / n
+    else:
+        loss = np.mean((raw - y) ** 2)
+        draw = 2.0 * (raw - y) / n
+    grads = {key: np.zeros_like(val) for key, val in params.items()}
+    grads["w_out"] = h.T @ draw
+    grads["b_out"] = np.array([draw.sum()])
+    dh = np.outer(draw, params["w_out"])
+    dc = np.zeros_like(dh)
+    for x_s, h_prev, c_prev, i, f, g, o, tanh_c, m in reversed(caches):
+        dh_new = dh * m
+        dc_new = dc * m + dh_new * o * (1.0 - tanh_c**2)
+        do = dh_new * tanh_c
+        df = dc_new * c_prev
+        di = dc_new * g
+        dg = dc_new * i
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
+            axis=1,
+        )
+        grads["wx"] += x_s.T @ dz
+        grads["wh"] += h_prev.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dh = dz @ params["wh"].T + dh * (1.0 - m)
+        dc = dc_new * f + dc * (1.0 - m)
+    return float(loss), grads
+
+
 def random_softmax(rng, h, w, c, one_hot_fraction=0.0):
     """Valid softmax frame from Dirichlet draws, optionally with one-hot pixels."""
     probs = rng.dirichlet(np.ones(c), size=(h, w))

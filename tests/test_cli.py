@@ -521,3 +521,40 @@ def test_eval_rejects_non_integer_t_values(runner, pipeline_dir, tmp_path):
     assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
     assert result.output == "Error: --t-values must be integers, got '0,x'\n"
     assert not list(tmp_path.iterdir())
+
+
+def _time_series_eval(runner, pipeline_dir, prefix, t_values):
+    return runner.invoke(
+        main,
+        [
+            "eval", "--grid", "time-series",
+            "--features", str(pipeline_dir / "features.csv"),
+            "--tracking", str(pipeline_dir / "tracking.csv"),
+            "--classes", "8", "--m", "3", "--t-values", t_values, "--runs", "1",
+            "--out-prefix", str(prefix),
+        ],
+    )
+
+
+def test_eval_repeated_t_values_write_one_report(runner, pipeline_dir, tmp_path):
+    once = _time_series_eval(runner, pipeline_dir, tmp_path / "once", "0")
+    assert once.exit_code == 0, once.output
+    twice = _time_series_eval(runner, pipeline_dir, tmp_path / "twice", "0,0")
+    assert twice.exit_code == 0, twice.output
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"once{suffix}").read_bytes() == (
+            tmp_path / f"twice{suffix}"
+        ).read_bytes()
+
+
+def test_eval_checks_every_t_before_fitting(runner, pipeline_dir, tmp_path, monkeypatch):
+    from segquality import evaluation
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before every T was checked")
+
+    monkeypatch.setattr(evaluation, "run_experiment", no_fit)
+    result = _time_series_eval(runner, pipeline_dir, tmp_path / "grid", "0,11")
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert result.output == "Error: history must be in [0, 10], got 11\n"
+    assert not list(tmp_path.iterdir())

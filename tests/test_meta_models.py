@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from segquality.meta_models import (
     train_nn,
 )
 from segquality.meta_models.boosting import _Tree
-from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore
+from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore, _sigmoid_
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -458,6 +459,143 @@ def test_lstm_round_trip_serialization(tmp_path):
     assert np.allclose(
         load_model(path).predict(x, mask), model.predict(x, mask), atol=0
     )
+
+
+def _lstm_case(rng, n, steps, dim, hidden, task, scale=1.0):
+    x = rng.standard_normal((n, steps, dim)) * scale
+    y = rng.integers(0, 2, n).astype(float) if task == "classification" else rng.random(n)
+    params = _RecurrentCore.init_params(dim, hidden, rng)
+    params["b"] += rng.standard_normal(4 * hidden)
+    return x, y, params
+
+
+def _relative_error(got, want):
+    """Largest deviation relative to the largest magnitude of `want`."""
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize(
+    "n, steps, masked",
+    [
+        (9, 3, []),
+        (9, 3, [(1, 1), (4, 0)]),  # masked steps in two sequences
+        (9, 3, [(r, 0) for r in range(9)] + [(2, 1)]),  # oldest column fully masked
+        (9, 1, []),
+        (9, 1, [(3, 0)]),
+        (1, 3, [(0, 0)]),
+        (1, 1, []),
+    ],
+)
+def test_lstm_core_matches_per_step_oracle(task, n, steps, masked):
+    rng = np.random.default_rng(30 + 7 * n + steps + len(masked))
+    x, y, params = _lstm_case(rng, n, steps, dim=4, hidden=6, task=task, scale=2.0)
+    mask = np.ones((n, steps))
+    for row, step in masked:
+        mask[row, step] = 0.0
+        x[row, step] = 0.0  # build_time_series zeroes absent slots
+    want_loss, want = oracles.lstm_loss_and_grad(params, task, 6, x, y, mask)
+    core = _RecurrentCore(params, task, 6)
+    loss, grads = core.loss_and_grad(x, y, mask)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert abs(core.loss(x, y, mask) - want_loss) <= 1e-12 * abs(want_loss)
+    assert sorted(grads) == sorted(want)
+    for key in want:
+        assert grads[key].shape == want[key].shape
+        if not np.any(want[key]):
+            assert not np.any(grads[key]), key
+        else:
+            assert _relative_error(grads[key], want[key]) <= 1e-12, key
+
+
+def test_lstm_workspace_reuse_matches_fresh_cores():
+    rng = np.random.default_rng(31)
+    dim, hidden, steps = 5, 7, 3
+    _, _, params = _lstm_case(rng, 1, steps, dim, hidden, "classification")
+    core = _RecurrentCore(params, "classification", hidden)
+    for n in (256, 104, 88, 256, 104, 88):
+        x = rng.standard_normal((n, steps, dim))
+        mask = (rng.random((n, steps)) > 0.3).astype(float)
+        mask[:, -1] = 1.0
+        y = rng.integers(0, 2, n).astype(float)
+        loss, grads = core.loss_and_grad(x, y, mask)
+        grads = {key: val.copy() for key, val in grads.items()}
+        fresh_loss, fresh = _RecurrentCore(params, "classification", hidden).loss_and_grad(
+            x, y, mask
+        )
+        assert loss == fresh_loss
+        for key in fresh:
+            assert np.array_equal(grads[key], fresh[key]), key
+        assert core.loss(x, y, mask) == fresh_loss
+    assert sorted(core._workspaces) == [(88, steps), (104, steps), (256, steps)]
+    x = rng.standard_normal((2, 104, steps, dim))
+    first = core.raw_scores(x[0], np.ones((104, steps)))
+    kept = first.copy()
+    core.raw_scores(x[1], np.ones((104, steps)))
+    core.loss_and_grad(x[1], np.zeros(104), np.ones((104, steps)))
+    assert np.array_equal(first, kept)
+
+
+def test_trained_lstm_holds_no_workspace():
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((40, 2, 3))
+    mask = np.ones((40, 2))
+    y = rng.random(40)
+    spec = ModelSpec("shallow_lstm", "regression", hidden_units=5, max_epochs=3)
+    model = train_lstm((x, mask, y), (x, mask, y), spec)
+    first = model.predict(x, mask)
+    model.predict(x[::-1].copy(), mask)
+    assert not model.core._workspaces and not model.core._grads
+    assert np.array_equal(first, model.predict(x, mask))
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    z = np.array([-1000.0, -745.0, -709.0, -30.0, 0.0, 30.0, 709.0, 1000.0, np.inf, -np.inf])
+    want = expit(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = z.copy()
+        _sigmoid_(got)
+        assert np.array_equal(got[[0, 1, 7, 8, 9]], [0.0, 0.0, 1.0, 1.0, 0.0])
+        assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) <= 1e-15
+        # gates driven to +-1000 inside the core
+        hidden = 3
+        params = _RecurrentCore.init_params(2, hidden, np.random.default_rng(33))
+        params["wx"][:] = 0.0
+        params["wh"][:] = 0.0
+        params["b"][:] = np.repeat([1000.0, -1000.0, 1000.0, -1000.0], hidden)
+        core = _RecurrentCore(params, "classification", hidden)
+        x = np.ones((4, 2, 2))
+        loss, grads = core.loss_and_grad(x, np.array([0.0, 1.0, 0.0, 1.0]), np.ones((4, 2)))
+    gates = core._workspace(4, 2).gates
+    assert np.array_equal(gates[..., :hidden], np.ones((2, 4, hidden)))  # i
+    assert np.array_equal(gates[..., hidden : 2 * hidden], np.zeros((2, 4, hidden)))  # f
+    assert np.array_equal(gates[..., 3 * hidden :], np.zeros((2, 4, hidden)))  # o
+    assert np.isfinite(loss)
+    assert all(np.isfinite(val).all() for val in grads.values())
+
+
+def test_initial_params_are_not_trained_in_place():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((30, 3))
+    y = rng.random(30)
+    spec = ModelSpec("shallow_nn", "regression", hidden_units=4, max_epochs=3)
+    start = _FeedForwardCore.init_params(3, 4, rng)
+    kept = {key: val.copy() for key, val in start.items()}
+    model = train_nn((x, y), (x, y), spec, initial_params=start)
+    for key in kept:
+        assert np.array_equal(start[key], kept[key]), key
+    assert not np.array_equal(model.params["w1"], kept["w1"])
+
+    seq = rng.standard_normal((30, 2, 3))
+    mask = np.ones((30, 2))
+    spec = ModelSpec("shallow_lstm", "regression", hidden_units=4, max_epochs=3)
+    start = _RecurrentCore.init_params(3, 4, rng)
+    kept = {key: val.copy() for key, val in start.items()}
+    model = train_lstm((seq, mask, y), (seq, mask, y), spec, initial_params=start)
+    for key in kept:
+        assert np.array_equal(start[key], kept[key]), key
+    assert not np.array_equal(model.params["wx"], kept["wx"])
 
 
 # ---------------------------------------------------------------- contract
