@@ -70,6 +70,26 @@ class SynthConfig:
             raise ValueError("cell_noise must be >= 0 and error_noise_gain >= 1")
         if not 0 <= self.velocity_min <= self.velocity_max:
             raise ValueError("velocity range must satisfy 0 <= min <= max")
+        # a top probability above 0.5 keeps the label the argmax
+        if not 0.5 < self.background_confidence <= 1.0:
+            raise ValueError(
+                f"background_confidence must be in (0.5, 1], got {self.background_confidence}"
+            )
+        for name in ("correct_confidence", "error_confidence"):
+            low, high = getattr(self, name)
+            if not (0.5 < low <= 1.0 and 0.5 < high <= 1.0):
+                raise ValueError(f"{name} ends must be in (0.5, 1], got ({low}, {high})")
+            if low > high:
+                raise ValueError(f"{name} must satisfy low <= high, got ({low}, {high})")
+        if not self.soften_width > 0:
+            raise ValueError(f"soften_width must be > 0, got {self.soften_width}")
+        if not 0.0 <= self.runner_share <= 1.0:
+            raise ValueError(f"runner_share must be in [0, 1], got {self.runner_share}")
+        if not 0 < self.min_half_extent <= self.max_half_extent:
+            raise ValueError(
+                f"min_half_extent must be in (0, max_half_extent={self.max_half_extent}], "
+                f"got {self.min_half_extent}"
+            )
 
 
 @dataclass
@@ -80,12 +100,19 @@ class _MovingObject:
     center: list[float]
     velocity: list[float]
 
-    def footprint(self, height: int, width: int) -> np.ndarray:
-        rows = np.arange(height)[:, None] - self.center[0]
-        cols = np.arange(width)[None, :] - self.center[1]
+    def footprint(self, height: int, width: int):
+        """The object's pixels as a mask over the frame window it can reach
+        (its bounding box grown by one pixel, clipped to the frame), and that
+        window's top-left pixel."""
+        top, bottom = _span(self.center[0], self.half[0], height)
+        left, right = _span(self.center[1], self.half[1], width)
+        rows = np.arange(top, bottom)[:, None] - self.center[0]
+        cols = np.arange(left, right)[None, :] - self.center[1]
         if self.shape == "rect":
-            return (np.abs(rows) <= self.half[0]) & (np.abs(cols) <= self.half[1])
-        return (rows / self.half[0]) ** 2 + (cols / self.half[1]) ** 2 <= 1.0
+            mask = (np.abs(rows) <= self.half[0]) & (np.abs(cols) <= self.half[1])
+        else:
+            mask = (rows / self.half[0]) ** 2 + (cols / self.half[1]) ** 2 <= 1.0
+        return mask, top, left
 
     def advance(self, height: int, width: int) -> None:
         for axis, limit in ((0, height), (1, width)):
@@ -99,6 +126,24 @@ class _MovingObject:
                 self.center[axis] = high - (self.center[axis] - high)
                 self.velocity[axis] = -self.velocity[axis]
             self.center[axis] = min(max(self.center[axis], low), high)
+
+
+def _span(center: float, half: float, limit: int) -> tuple[int, int]:
+    """Pixel range [start, stop) of the frame within one pixel of
+    [center - half, center + half]."""
+    start = min(max(math.floor(center - half) - 1, 0), limit)
+    return start, min(max(math.ceil(center + half) + 2, start), limit)
+
+
+def _place(mask: np.ndarray, top: int, left: int, height: int, width: int):
+    """The frame window a mask with top-left pixel (top, left) covers, and the
+    part of the mask inside the frame."""
+    r0 = min(max(top, 0), height)
+    r1 = min(max(top + mask.shape[0], 0), height)
+    c0 = min(max(left, 0), width)
+    c1 = min(max(left + mask.shape[1], 0), width)
+    window = (slice(r0, r1), slice(c0, c1))
+    return window, mask[r0 - top : r1 - top, c0 - left : c1 - left]
 
 
 def _spawn_objects(config: SynthConfig, rng: np.random.Generator):
@@ -174,29 +219,43 @@ def _softmax_from_labels(
     The top probability falls off toward 0.5 with a logistic ramp in the
     distance to the nearest differently-labelled pixel; a share of the
     remainder goes to that neighboring class, the rest is spread uniformly.
+
+    Each class is transformed on its window: its bounding box grown by one
+    pixel and clipped to the frame.  A grown border holds only other-class
+    pixels, and a pixel beyond it is strictly farther from every class pixel
+    than its clamp onto that border, so the window gives the whole frame's
+    distances and nearest pixels.
     """
     height, width = labels.shape
     c = config.num_classes
     top_prob = np.empty((height, width))
     runner_class = np.zeros((height, width), dtype=np.int64)
-    for cls in np.unique(labels):
-        region = labels == cls
-        if region.all():
+    for cls, box in enumerate(ndimage.find_objects(labels + 1)):
+        if box is None:
+            continue
+        window = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
+        local = labels[window]
+        region = local == cls
+        if region.all():  # the window is the whole frame
             top_prob[:] = confidence
             runner_class[:] = (cls + 1) % c
             break
         dist, (iy, ix) = ndimage.distance_transform_edt(region, return_indices=True)
-        ramp = 1.0 / (1.0 + np.exp(-(dist - config.soften_offset) / config.soften_width))
-        top_prob[region] = 0.5 + (confidence[region] - 0.5) * ramp[region]
-        runner_class[region] = labels[iy, ix][region]
+        ramp = 1.0 / (
+            1.0 + np.exp(-(dist[region] - config.soften_offset) / config.soften_width)
+        )
+        top_prob[window][region] = 0.5 + (confidence[window][region] - 0.5) * ramp
+        runner_class[window][region] = local[iy[region], ix[region]]
     rest = 1.0 - top_prob
     runner_prob = config.runner_share * rest if c > 2 else rest
     # the runner-up keeps its share of the uniform floor, so rows sum to 1
     spread = (rest - runner_prob) / (c - 1)
-    probs = np.broadcast_to(spread[..., None], (height, width, c)).copy()
-    rows, cols = np.indices(labels.shape)
-    probs[rows, cols, labels] = top_prob
-    probs[rows, cols, runner_class] += runner_prob
+    probs = np.empty((height, width, c))
+    probs[...] = spread[..., None]
+    flat = probs.reshape(-1)
+    starts = np.arange(0, flat.size, c)
+    flat[starts + labels.ravel()] = top_prob.ravel()
+    flat[starts + runner_class.ravel()] += runner_prob.ravel()
     return probs
 
 
@@ -209,6 +268,13 @@ def generate_stream(config: SynthConfig, out_dir) -> StreamManifest:
     height, width = config.height, config.width
     ys = np.linspace(0.0, 1.0, height)[:, None]
     xs = np.linspace(0.0, 1.0, width)[None, :]
+    base = 0.45 + 0.25 * np.sin(2.0 * math.pi * xs) + 0.20 * np.cos(
+        2.0 * math.pi * 1.7 * ys
+    )
+    # block 0 is the base in every frame; later blocks are rewritten per frame
+    stack = np.empty((height, width, config.num_blocks))
+    stack[..., 0] = base
+    perturbation = np.empty((height, width))
 
     frames = []
     for t in range(config.num_frames):
@@ -219,9 +285,9 @@ def generate_stream(config: SynthConfig, out_dir) -> StreamManifest:
         gt = np.zeros((height, width), dtype=np.int32)
         footprints = []
         for obj in objects:
-            mask = obj.footprint(height, width)
-            footprints.append(mask)
-            gt[mask] = obj.class_id
+            footprints.append(obj.footprint(height, width))
+            window, mask = _place(*footprints[-1], height, width)
+            gt[window][mask] = obj.class_id
 
         pred = np.zeros((height, width), dtype=np.int32)
         confidence = np.full((height, width), config.background_confidence)
@@ -242,44 +308,31 @@ def generate_stream(config: SynthConfig, out_dir) -> StreamManifest:
                 if candidates:
                     pred_class = int(candidates[rng.integers(len(candidates))])
                     is_error = True
-            mask = footprints[i]
-            if offset[0] or offset[1]:
-                mask = np.roll(mask, (int(offset[0]), int(offset[1])), axis=(0, 1))
-                # roll wraps; clear the wrapped border strips
-                if offset[0] > 0:
-                    mask[: offset[0], :] = False
-                elif offset[0] < 0:
-                    mask[offset[0] :, :] = False
-                if offset[1] > 0:
-                    mask[:, : offset[1]] = False
-                elif offset[1] < 0:
-                    mask[:, offset[1] :] = False
+            # the footprint moved by the jitter offset; what leaves the frame is dropped
+            mask, top, left = footprints[i]
+            window, mask = _place(
+                mask, top + int(offset[0]), left + int(offset[1]), height, width
+            )
             if is_error:
                 conf = rng.uniform(*config.error_confidence)
             else:
                 conf = rng.uniform(*config.correct_confidence)
-            pred[mask] = pred_class
-            confidence[mask] = conf
-            error_mask[mask] = is_error
+            pred[window][mask] = pred_class
+            confidence[window][mask] = conf
+            error_mask[window][mask] = is_error
 
         probs = _softmax_from_labels(pred, confidence, config)
 
-        base = 0.45 + 0.25 * np.sin(2.0 * math.pi * xs) + 0.20 * np.cos(
-            2.0 * math.pi * 1.7 * ys
-        )
-        base = np.broadcast_to(base, (height, width)).copy()
         noise_scale = config.cell_noise * np.where(
             error_mask, config.error_noise_gain, 1.0
         )
-        stack = np.empty((height, width, config.num_blocks))
-        stack[..., 0] = base
-        perturbation = np.zeros((height, width))
+        perturbation.fill(0.0)
         for block in range(1, config.num_blocks):
-            perturbation = (
-                config.ar_coeff * perturbation
-                + noise_scale * rng.standard_normal((height, width))
-            )
-            stack[..., block] = base + perturbation
+            draw = rng.standard_normal((height, width))
+            perturbation *= config.ar_coeff
+            draw *= noise_scale
+            perturbation += draw
+            np.add(base, perturbation, out=stack[..., block])
 
         names = FrameFiles(
             softmax=f"frame_{t:05d}_softmax.tmsg",

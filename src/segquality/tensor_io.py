@@ -33,7 +33,7 @@ def tensor_file_size(shape) -> int:
 
 def write_tensor(path, values) -> None:
     """Write a 2-D or 3-D float tensor as little-endian float32 with header."""
-    arr = np.ascontiguousarray(values, dtype=np.float32)
+    arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim not in (2, 3):
         raise TensorFormatError(f"tensor must be 2-D or 3-D, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
@@ -42,7 +42,7 @@ def write_tensor(path, values) -> None:
     dims = tuple(arr.shape) + (1,) * (3 - arr.ndim)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, arr.ndim, *dims))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr.data)
 
 
 def read_tensor(path, expected_shape=None) -> np.ndarray:

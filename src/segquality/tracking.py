@@ -110,6 +110,15 @@ def _boundary_distance(a: Segment, b: Segment) -> float:
     return float(np.min(dist))
 
 
+def _box_gap(a, b) -> float:
+    """Distance between two boxes: no pixel of one is closer than this to a
+    pixel of the other.  Rounded as the pixel distances are (sqrt of an exact
+    integer), so it never exceeds the nearest pixel pair's distance."""
+    dy = max(a[0] - b[1], b[0] - a[1], 0)
+    dx = max(a[2] - b[3], b[2] - a[3], 0)
+    return math.sqrt(dy * dy + dx * dx)
+
+
 def _euclid(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -253,11 +262,24 @@ def track_frame(
     matched_step = {}
     processed: list[int] = []
     rank = {idx: pos for pos, idx in enumerate(order)}
+    boxes: dict[int, tuple[int, int, int, int]] = {}
+
+    def box(i):
+        # a segment's extreme pixels are boundary pixels: this is the box of
+        # its boundary, computed when the segment is first compared
+        if i not in boxes:
+            low, high = segments[i].pixels.min(axis=0), segments[i].pixels.max(axis=0)
+            boxes[i] = (int(low[0]), int(high[0]), int(low[1]), int(high[1]))
+        return boxes[i]
+
     for idx in order:
         seg = segments[idx]
         best = None
         for other in processed:
             if segments[other].class_id != seg.class_id:
+                continue
+            # a pair whose boxes are c_near apart cannot be nearer: no tree
+            if _box_gap(box(idx), box(other)) >= params.c_near:
                 continue
             dist = _boundary_distance(seg, segments[other])
             if dist >= params.c_near:

@@ -7,6 +7,7 @@ loops so that it shares no code path with the library.
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def entropy_pixel(probs):
@@ -291,3 +292,54 @@ def random_softmax(rng, h, w, c, one_hot_fraction=0.0):
                     probs[i, j] = 0.0
                     probs[i, j, hot[i, j]] = 1.0
     return probs
+
+
+def softmax_from_labels(labels, confidence, config):
+    """The synthetic softmax built with one distance transform over the whole
+    frame per class present (the reference for the windowed kernel)."""
+    height, width = labels.shape
+    c = config.num_classes
+    top_prob = np.empty((height, width))
+    runner_class = np.zeros((height, width), dtype=np.int64)
+    for cls in np.unique(labels):
+        region = labels == cls
+        if region.all():
+            top_prob[:] = confidence
+            runner_class[:] = (cls + 1) % c
+            break
+        dist, (iy, ix) = ndimage.distance_transform_edt(region, return_indices=True)
+        ramp = 1.0 / (1.0 + np.exp(-(dist - config.soften_offset) / config.soften_width))
+        top_prob[region] = 0.5 + (confidence[region] - 0.5) * ramp[region]
+        runner_class[region] = labels[iy, ix][region]
+    rest = 1.0 - top_prob
+    runner_prob = config.runner_share * rest if c > 2 else rest
+    # the runner-up keeps its share of the uniform floor, so rows sum to 1
+    spread = (rest - runner_prob) / (c - 1)
+    probs = np.broadcast_to(spread[..., None], (height, width, c)).copy()
+    rows, cols = np.indices(labels.shape)
+    probs[rows, cols, labels] = top_prob
+    probs[rows, cols, runner_class] += runner_prob
+    return probs
+
+
+def jittered_footprint(obj, height, width, offset):
+    """An object's full-frame mask moved by `offset`, the pixels that leave
+    the frame dropped (the reference for the windowed footprint)."""
+    rows = np.arange(height)[:, None] - obj.center[0]
+    cols = np.arange(width)[None, :] - obj.center[1]
+    if obj.shape == "rect":
+        mask = (np.abs(rows) <= obj.half[0]) & (np.abs(cols) <= obj.half[1])
+    else:
+        mask = (rows / obj.half[0]) ** 2 + (cols / obj.half[1]) ** 2 <= 1.0
+    if offset[0] or offset[1]:
+        mask = np.roll(mask, (int(offset[0]), int(offset[1])), axis=(0, 1))
+        # roll wraps; clear the wrapped border strips
+        if offset[0] > 0:
+            mask[: offset[0], :] = False
+        elif offset[0] < 0:
+            mask[offset[0] :, :] = False
+        if offset[1] > 0:
+            mask[:, : offset[1]] = False
+        elif offset[1] < 0:
+            mask[:, offset[1] :] = False
+    return mask

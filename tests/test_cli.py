@@ -325,6 +325,18 @@ def test_synth_rejects_unknown_config_field(runner, tmp_path):
     assert "unknown synth config fields" in result.output
 
 
+def test_synth_rejects_broken_config_value_before_writing(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"soften_width": 0, "num_frames": 3}))
+    out = tmp_path / "s"
+    result = runner.invoke(main, ["synth", "--out", str(out), "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert result.output.strip().splitlines() == [
+        "Error: soften_width must be > 0, got 0"
+    ]
+    assert not out.exists()
+
+
 def test_stage_rerun_is_byte_identical(runner, tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag

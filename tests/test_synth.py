@@ -1,9 +1,20 @@
+import hashlib
+import json
+import os
+
 import numpy as np
+import oracles
 import pytest
 
 from segquality import heatmaps
 from segquality.pipeline import process_stream
-from segquality.synth import SynthConfig, generate_stream
+from segquality.synth import (
+    SynthConfig,
+    _MovingObject,
+    _place,
+    _softmax_from_labels,
+    generate_stream,
+)
 from segquality.tensor_io import read_manifest
 
 
@@ -161,3 +172,114 @@ def test_config_validation():
         _config(num_classes=1)
     with pytest.raises(ValueError, match="velocity"):
         _config(velocity_min=2.0, velocity_max=1.0)
+
+
+def _label_maps(rng):
+    """Label frames that stress the class windows of the softmax kernel."""
+    h, w = 20, 31
+    touching = np.zeros((h, w), dtype=np.int32)
+    touching[:6, :8] = 1  # corner objects touching two frame edges
+    touching[:6, 8:14] = 2  # touching object 1
+    touching[6:12, :5] = 3  # touching object 1 and the left edge
+    touching[h - 4 :, w - 9 :] = 4
+    touching[h - 4 :, 10:20] = 5  # bottom edge
+    touching[8:14, w - 3 :] = 6  # right edge
+    yield "touching", touching, 8
+    split = np.zeros((h, w), dtype=np.int32)
+    split[1:4, 1:4] = 2
+    split[h - 5 : h - 1, w - 6 : w - 1] = 2  # the same class, far apart
+    split[8:12, 12:18] = 1
+    yield "one class in two objects", split, 4
+    almost = np.full((h, w), 3, dtype=np.int32)
+    almost[7, 19] = 0
+    yield "class covering all but one pixel", almost, 5
+    corner = np.full((h, w), 2, dtype=np.int32)
+    corner[h - 1, 0] = 1
+    yield "all but one corner pixel", corner, 3
+    dots = np.zeros((h, w), dtype=np.int32)
+    for k, (r, c) in enumerate([(0, 0), (0, w - 1), (h - 1, 0), (5, 5), (5, 6), (12, 20)]):
+        dots[r, c] = 1 + k % 4
+    yield "single pixels", dots, 5
+    yield "one class", np.full((h, w), 1, dtype=np.int32), 4
+    two = np.zeros((h, w), dtype=np.int32)
+    two[3:9, 0:7] = 1
+    two[12:, 20:] = 1
+    yield "two classes", two, 2
+    for k in range(6):
+        blocks = np.zeros((h, w), dtype=np.int32)
+        for _ in range(int(rng.integers(1, 9))):
+            r, c = rng.integers(0, h), rng.integers(0, w)
+            dr, dc = rng.integers(1, 8, size=2)
+            blocks[r : r + dr, c : c + dc] = rng.integers(0, 6)
+        yield f"random rectangles {k}", blocks, 6
+
+
+def test_windowed_softmax_matches_full_frame_oracle():
+    rng = np.random.default_rng(2024)
+    for name, labels, num_classes in _label_maps(rng):
+        confidence = rng.uniform(0.6, 0.99, size=labels.shape)
+        config = SynthConfig(num_classes=num_classes)
+        got = _softmax_from_labels(labels, confidence, config)
+        want = oracles.softmax_from_labels(labels, confidence, config)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_placed_footprint_matches_rolled_full_frame_mask():
+    # centers off the frame and offsets beyond it included
+    rng = np.random.default_rng(5)
+    h, w = 12, 17
+    for _ in range(300):
+        obj = _MovingObject(
+            class_id=1,
+            shape="rect" if rng.random() < 0.5 else "ellipse",
+            half=tuple(rng.uniform(0.5, 7.0, 2)),
+            center=[rng.uniform(-6, h + 6), rng.uniform(-6, w + 6)],
+            velocity=[0.0, 0.0],
+        )
+        offset = rng.integers(-14, 15, size=2)
+        mask, top, left = obj.footprint(h, w)
+        window, part = _place(mask, top + int(offset[0]), left + int(offset[1]), h, w)
+        got = np.zeros((h, w), dtype=bool)
+        got[window][part] = True
+        want = oracles.jittered_footprint(obj, h, w, offset)
+        assert np.array_equal(got, want), (obj, offset)
+
+
+def test_streams_match_pinned_sha256(tmp_path):
+    # recorded with the full-frame kernel; the windowed one must not move a byte
+    pins = json.loads(
+        open(os.path.join(os.path.dirname(__file__), "data", "synth_sha256.json")).read()
+    )
+    for name, pin in pins.items():
+        out = tmp_path / name
+        generate_stream(SynthConfig(**pin["config"]), out)
+        got = {
+            f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in sorted(os.listdir(out))
+            if f.endswith(".tmsg")
+        }
+        assert got == pin["sha256"], name
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("soften_width", 0.0),
+        ("soften_width", -0.5),
+        ("runner_share", 1.5),
+        ("runner_share", -0.1),
+        ("background_confidence", 1.2),
+        ("background_confidence", 0.5),
+        ("correct_confidence", (0.3, 0.4)),
+        ("correct_confidence", (0.9, 1.1)),
+        ("correct_confidence", (0.95, 0.8)),
+        ("error_confidence", (0.5, 0.9)),
+        ("error_confidence", (0.9, 0.7)),
+        ("min_half_extent", 9.0),
+        ("min_half_extent", 0.0),
+    ],
+)
+def test_config_rejects_values_that_break_the_stream(field, value):
+    with pytest.raises(ValueError, match=field) as info:
+        _config(**{field: value})
+    assert "\n" not in str(info.value)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from segquality.tensor_io import (
+    HEADER_SIZE,
     FrameFiles,
     ManifestError,
     StreamManifest,
@@ -36,6 +37,15 @@ def test_round_trip_bit_exact_random(tmp_path):
     path2 = tmp_path / "t2.tmsg"
     write_tensor(path2, read_tensor(path))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_big_endian_float64_input_is_written_little_endian(tmp_path):
+    path = tmp_path / "t.tmsg"
+    values = (np.arange(24, dtype=">f8").reshape(2, 3, 4) - 11.5) / 7.0
+    write_tensor(path, values)
+    payload = path.read_bytes()[HEADER_SIZE:]
+    assert payload == np.asarray(values, "<f4").tobytes()
+    assert np.array_equal(read_tensor(path, (2, 3, 4)), values.astype(np.float32))
 
 
 def test_read_rejects_nan(tmp_path):

@@ -411,3 +411,32 @@ def test_tracking_params_validation():
         TrackingParams(c_over=1.5)
     with pytest.raises(ValueError, match="history_window"):
         TrackingParams(history_window=1)
+
+
+def test_step1_builds_no_tree_for_far_pairs(monkeypatch):
+    import segquality.tracking as tracking
+
+    built = []
+
+    class CountingTree(tracking.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "cKDTree", CountingTree)
+    far = np.zeros((40, 60), dtype=int)
+    _block(far, 1, 2, 8, 2, 8)
+    _block(far, 1, 30, 37, 50, 57)  # same class, boxes 42 px apart
+    _, assignments = _frames_to_assignments([far])
+    assert built == []
+    assert sorted(a.matched_step for a in assignments[0]) == [5, 5, 5]
+    # boxes 8 px apart along each axis are 11.3 px >= c_near apart: no tree
+    _block(far, 1, 15, 19, 15, 19)
+    _, assignments = _frames_to_assignments([far])
+    assert built == []
+    # a 3 px gap needs the tree, and the pair is grouped
+    near = _block(np.zeros((30, 30), dtype=int), 1, 5, 10, 5, 10)
+    _block(near, 1, 5, 10, 13, 18)
+    _, assignments = _frames_to_assignments([near])
+    assert len(built) == 1
+    assert sorted(a.matched_step for a in assignments[0]) == [1, 5, 5]
