@@ -219,9 +219,9 @@ def fit_split(
     return train_model(model_spec, train, val), test, standardizer
 
 
-def _grid_job(args) -> dict[str, float]:
+def _grid_job(table: MetaRecordTable, job) -> dict[str, float]:
     """Fit one split run of one report cell and score it on the test part."""
-    table, model_spec, num_stability, split_spec, run, feature_slice = args
+    model_spec, num_stability, split_spec, run, feature_slice = job
     model, test, _ = fit_split(
         table, model_spec, num_stability, split_spec, run, feature_slice
     )
@@ -230,6 +230,18 @@ def _grid_job(args) -> dict[str, float]:
     if model_spec.task == "classification":
         return {"acc": accuracy(y, scores), "auroc": auroc(y, scores)}
     return {"sigma": regression_sigma(y, scores), "r2": r_squared(y, scores)}
+
+
+_pool_table: MetaRecordTable | None = None  # a pool worker's copy of the table
+
+
+def _init_pool_worker(table: MetaRecordTable) -> None:
+    global _pool_table
+    _pool_table = table
+
+
+def _pool_grid_job(job) -> dict[str, float]:
+    return _grid_job(_pool_table, job)
 
 
 def run_experiment(
@@ -265,7 +277,6 @@ def run_experiment(
         ]
     jobs = [
         (
-            table,
             ModelSpec(family=family, task=cell.task, seed=run),
             cell.num_stability,
             split_spec,
@@ -276,10 +287,13 @@ def run_experiment(
         for run in range(split_spec.runs)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_grid_job, jobs))
+        # the table goes to each worker once, not with every job
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_pool_worker, initargs=(table,)
+        ) as pool:
+            outcomes = list(pool.map(_pool_grid_job, jobs))
     else:
-        outcomes = [_grid_job(job) for job in jobs]
+        outcomes = [_grid_job(table, job) for job in jobs]
 
     cells = [cell for cell, *_ in plan]
     for i, metrics in enumerate(outcomes):

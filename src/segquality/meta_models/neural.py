@@ -121,22 +121,23 @@ def _sigmoid_(z: np.ndarray) -> None:
 class _Workspace:
     """The buffers of one unrolled batch shape, (n, steps); written in place.
 
-    Forward: the activated gates (i, f, g, o) and tanh(c) of every step, and
-    the h and c after every step (h[0] = c[0] = 0).  `dz` holds h @ wh in the
-    forward pass and the gate gradients in the backward pass.  `scratch` is
-    six (n, hidden) arrays.  Scoring allocates the backward buffers too, with
-    `np.empty`, but never writes them.
+    Batch-last: each step's gates are a (4H, n) array, so every gate block
+    (i, f, g, o) is a contiguous (H, n) row slice.  Forward: the activated
+    gates and tanh(c) of every step, and the h and c after every step
+    (h[0] = c[0] = 0).  `dz` holds wh.T @ h in the forward pass and the gate
+    gradients in the backward pass.  `scratch` is six (H, n) arrays.  Scoring
+    allocates the backward buffers too, with `np.empty`, but never writes them.
     """
 
     def __init__(self, n: int, steps: int, hidden: int):
-        self.gates = np.empty((steps, n, 4 * hidden))
-        self.tanh_c = np.empty((steps, n, hidden))
-        self.h = np.empty((steps + 1, n, hidden))
-        self.c = np.empty((steps + 1, n, hidden))
+        self.gates = np.empty((steps, 4 * hidden, n))
+        self.tanh_c = np.empty((steps, hidden, n))
+        self.h = np.empty((steps + 1, hidden, n))
+        self.c = np.empty((steps + 1, hidden, n))
         self.h[0] = 0.0
         self.c[0] = 0.0
-        self.dz = np.empty((n, 4 * hidden))
-        self.scratch = np.empty((6, n, hidden))
+        self.dz = np.empty((4 * hidden, n))
+        self.scratch = np.empty((6, hidden, n))
         self.raw = np.empty(n)
 
 
@@ -189,7 +190,7 @@ class _RecurrentCore:
 
     def _gates(self, gates: np.ndarray):
         hid = self.hidden
-        return [gates[:, k * hid : (k + 1) * hid] for k in range(4)]
+        return [gates[k * hid : (k + 1) * hid] for k in range(4)]
 
     def _forward(self, X: np.ndarray, keep: np.ndarray, ws: _Workspace) -> np.ndarray:
         """Unroll into `ws`; returns the raw scores, `ws.raw`."""
@@ -197,26 +198,27 @@ class _RecurrentCore:
         kept = keep.all(axis=0)
         for s in range(X.shape[1]):
             z = ws.gates[s]
-            np.matmul(X[:, s, :], wx, out=z)
+            np.matmul(wx.T, X[:, s, :].T, out=z)
             if s:  # h is zero before the first step
-                np.matmul(ws.h[s], wh, out=ws.dz)
+                np.matmul(wh.T, ws.h[s], out=ws.dz)
                 z += ws.dz
-            z += b
+            z += b[:, None]
             i, f, g, o = self._gates(z)
-            _sigmoid_(z[:, : 2 * self.hidden])  # i and f
+            _sigmoid_(z[: 2 * self.hidden])  # i and f
             np.tanh(g, out=g)
             _sigmoid_(o)
             c, h, tmp = ws.c[s + 1], ws.h[s + 1], ws.scratch[0]
-            np.multiply(f, ws.c[s], out=c)
-            np.multiply(i, g, out=tmp)
-            c += tmp
+            np.multiply(i, g, out=c)
+            if s:  # c is zero before the first step
+                np.multiply(f, ws.c[s], out=tmp)
+                c += tmp
             np.tanh(c, out=ws.tanh_c[s])
             np.multiply(o, ws.tanh_c[s], out=h)
             if not kept[s]:
-                skip = ~keep[:, s, None]
+                skip = ~keep[None, :, s]
                 np.copyto(c, ws.c[s], where=skip)
                 np.copyto(h, ws.h[s], where=skip)
-        np.matmul(ws.h[-1], self.params["w_out"], out=ws.raw)
+        np.matmul(self.params["w_out"], ws.h[-1], out=ws.raw)
         ws.raw += self.params["b_out"][0]
         return ws.raw
 
@@ -240,10 +242,10 @@ class _RecurrentCore:
             self._grad_tmp = {key: np.empty_like(self.params[key]) for key in ("wx", "wh")}
         grads, tmp = self._grads, self._grad_tmp
         wh = self.params["wh"]
-        np.matmul(ws.h[-1].T, draw, out=grads["w_out"])
+        np.matmul(ws.h[-1], draw, out=grads["w_out"])
         grads["b_out"][0] = draw.sum()
         dh, dc, dh_prev, dc_new, t1, t2 = ws.scratch
-        np.multiply(draw[:, None], self.params["w_out"], out=dh)
+        np.multiply(self.params["w_out"][:, None], draw, out=dh)
         dc.fill(0.0)
         dz = ws.dz
         d_i, d_f, d_g, d_o = self._gates(dz)
@@ -263,10 +265,13 @@ class _RecurrentCore:
             d_i *= i
             np.subtract(1.0, i, out=t1)
             d_i *= t1
-            np.multiply(dc_new, ws.c[s], out=d_f)
-            d_f *= f
-            np.subtract(1.0, f, out=t1)
-            d_f *= t1
+            if s:
+                np.multiply(dc_new, ws.c[s], out=d_f)
+                d_f *= f
+                np.subtract(1.0, f, out=t1)
+                d_f *= t1
+            else:  # df = dc_new * c[0] and c[0] is zero
+                d_f.fill(0.0)
             np.multiply(dc_new, i, out=d_g)
             np.square(g, out=t1)
             np.subtract(1.0, t1, out=t1)
@@ -276,18 +281,18 @@ class _RecurrentCore:
             np.subtract(1.0, o, out=t1)
             d_o *= t1
             if not kept[s]:
-                skip = ~keep[:, s, None]
+                skip = ~keep[None, :, s]
                 np.copyto(dz, 0.0, where=skip)
             last = s == steps - 1
-            _accumulate(grads["wx"], X[:, s, :].T, dz, tmp["wx"], last)
+            _accumulate(grads["wx"], X[:, s, :].T, dz.T, tmp["wx"], last)
             if last:
-                np.sum(dz, axis=0, out=grads["b"])
+                np.sum(dz, axis=1, out=grads["b"])
             else:
-                grads["b"] += dz.sum(axis=0)
+                grads["b"] += dz.sum(axis=1)
             if s == 0:  # h before the first step is zero, and no step precedes it
                 break
-            _accumulate(grads["wh"], ws.h[s].T, dz, tmp["wh"], last)
-            np.matmul(dz, wh.T, out=dh_prev)
+            _accumulate(grads["wh"], ws.h[s], dz.T, tmp["wh"], last)
+            np.matmul(wh, dz, out=dh_prev)
             np.multiply(dc_new, f, out=dc_new)
             if not kept[s]:
                 np.copyto(dh_prev, dh, where=skip)
@@ -388,9 +393,13 @@ class RecurrentNetModel(TrainedModel):
         self._check_features(
             features, (features.shape[1], self.params["wx"].shape[0])
         )
-        if mask is None:
-            mask = np.ones(features.shape[:2])
-        return self._finalize(self.core.raw_scores(features, np.asarray(mask, float)))
+        mask = np.ones(features.shape[:2]) if mask is None else np.asarray(mask, float)
+        if mask.shape != features.shape[:2]:
+            raise ValueError(
+                f"mask shape mismatch: expected (n, steps) = {features.shape[:2]}, "
+                f"got {mask.shape}"
+            )
+        return self._finalize(self.core.raw_scores(features, mask))
 
     def params_dict(self) -> dict:
         return {

@@ -299,3 +299,17 @@ def test_report_serialization(tmp_path):
         rows = list(csv_mod.reader(fh))
     assert rows[0][:4] == ["family", "task", "m", "T"]
     assert len(rows) == 1 + 1 + len(report.baselines)
+
+
+def test_run_experiment_in_two_workers_equals_serial():
+    table = _synthetic_table(entropy_signal=True, n=200)
+    kwargs = dict(
+        families=("linear", "gradient_boosting"),
+        tasks=("classification", "regression"),
+        m_values=(0,),
+        split_spec=SplitSpec(runs=2, base_seed=4),
+    )
+    serial = run_experiment(table, workers=1, **kwargs)
+    pooled = run_experiment(table, workers=2, **kwargs)
+    assert len(pooled.baselines) == 3  # naive and both entropy_gb cells
+    assert pooled.to_dict() == serial.to_dict()

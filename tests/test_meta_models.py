@@ -447,6 +447,18 @@ def test_lstm_masked_steps_carry_state():
     assert not np.allclose(core.raw_scores(x, full_mask), out_a, atol=1e-6)
 
 
+def test_lstm_predict_rejects_mask_of_wrong_shape():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((20, 2, 3))
+    mask = np.ones((20, 2))
+    spec = ModelSpec("shallow_lstm", "regression", hidden_units=4, max_epochs=2)
+    model = train_lstm((x, mask, rng.random(20)), (x, mask, rng.random(20)), spec)
+    for bad in (np.ones((20, 3)), np.ones(20)):  # an extra column; one dimension
+        with pytest.raises(ValueError, match=r"expected \(n, steps\) = \(20, 2\), got"):
+            model.predict(x, bad)
+    assert model.predict(x, mask.tolist()).shape == (20,)
+
+
 def test_lstm_round_trip_serialization(tmp_path):
     rng = np.random.default_rng(14)
     x = rng.standard_normal((20, 2, 3))
@@ -459,6 +471,87 @@ def test_lstm_round_trip_serialization(tmp_path):
     assert np.allclose(
         load_model(path).predict(x, mask), model.predict(x, mask), atol=0
     )
+
+
+def _lstm_seeded_cases():
+    """Both LSTM tasks at steps 1 and 3 on seeded tables with masked slots.
+
+    Oldest-first masks (0, 0, 1), (0, 1, 1), (1, 0, 1) and (1, 1, 1); the hole
+    pattern (1, 0, 1) is the one a track that skips a frame leaves.  Yields
+    (name, spec, x, mask, y); the first 230 rows train, the rest validate.
+    """
+    rng = np.random.default_rng(40)
+    n, dim = 300, 4
+    patterns = np.array([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=float)
+    for steps in (1, 3):
+        x = rng.standard_normal((n, steps, dim))
+        mask = patterns[rng.integers(0, 4, n)] if steps == 3 else np.ones((n, 1))
+        x *= mask[..., None]  # build_time_series zeroes absent slots
+        signal = x[:, -1, 0] + x[:, 0, 1] - 0.5 * x[:, -1, 2] + 0.3 * rng.standard_normal(n)
+        targets = {
+            "classification": (signal > 0).astype(float),
+            "regression": expit(signal),
+        }
+        for task, y in targets.items():
+            spec = ModelSpec(
+                "shallow_lstm",
+                task,
+                seed=steps,
+                hidden_units=8,
+                learning_rate=0.01,
+                batch_size=64,
+                patience=5,
+                max_epochs=150,
+            )
+            yield f"{task}_steps{steps}", spec, x, mask, y
+
+
+def _lstm_seeded_fits():
+    """Each seeded case's saved model, training metadata and predictions on
+    every row, as plain JSON data."""
+    fits = {}
+    for name, spec, x, mask, y in _lstm_seeded_cases():
+        model = train_lstm((x[:230], mask[:230], y[:230]), (x[230:], mask[230:], y[230:]), spec)
+        fits[name] = {
+            "model": model.to_dict(),
+            "metadata": {
+                key: model.metadata[key] for key in ("epochs_trained", "best_epoch", "val_loss")
+            },
+            "predictions": model.predict(x, mask).tolist(),
+        }
+    return json.loads(json.dumps(fits))
+
+
+def _recorded_lstm_fits():
+    with open(os.path.join(DATA, "lstm_fits_seed40.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_lstm_fits_follow_recorded_trajectory():
+    # recorded with the (n, 4H) gate layout.  The kernel's loss and gradients
+    # agree with it to a few ulps, so every fit must stop at the same epochs,
+    # and its best validation loss and scores may move by rounding only.
+    recorded = _recorded_lstm_fits()
+    got = _lstm_seeded_fits()
+    assert sorted(got) == sorted(recorded)
+    for name, fit in got.items():
+        want = recorded[name]
+        for key in ("epochs_trained", "best_epoch"):
+            assert fit["metadata"][key] == want["metadata"][key], (name, key)
+        assert fit["metadata"]["val_loss"] == pytest.approx(
+            want["metadata"]["val_loss"], rel=1e-9
+        ), name
+        assert np.allclose(fit["predictions"], want["predictions"], rtol=0, atol=1e-9), name
+
+
+def test_recorded_lstm_models_load_and_predict(tmp_path):
+    # model files saved before the batch-last kernel score as they did then
+    recorded = _recorded_lstm_fits()
+    for name, _, x, mask, _ in _lstm_seeded_cases():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(recorded[name]["model"]), encoding="utf-8")
+        scores = load_model(path).predict(x, mask)
+        assert np.abs(scores - recorded[name]["predictions"]).max() <= 1e-12, name
 
 
 def _lstm_case(rng, n, steps, dim, hidden, task, scale=1.0):
@@ -567,10 +660,12 @@ def test_sigmoid_saturates_exactly_without_warnings():
         core = _RecurrentCore(params, "classification", hidden)
         x = np.ones((4, 2, 2))
         loss, grads = core.loss_and_grad(x, np.array([0.0, 1.0, 0.0, 1.0]), np.ones((4, 2)))
-    gates = core._workspace(4, 2).gates
-    assert np.array_equal(gates[..., :hidden], np.ones((2, 4, hidden)))  # i
-    assert np.array_equal(gates[..., hidden : 2 * hidden], np.zeros((2, 4, hidden)))  # f
-    assert np.array_equal(gates[..., 3 * hidden :], np.zeros((2, 4, hidden)))  # o
+    gates = core._workspace(4, 2).gates  # (steps, 4H, n): gate blocks are rows
+    assert np.array_equal(gates[:, :hidden], np.ones((2, hidden, 4)))  # i
+    assert np.array_equal(gates[:, hidden : 2 * hidden], np.zeros((2, hidden, 4)))  # f
+    assert np.array_equal(gates[:, 3 * hidden :], np.zeros((2, hidden, 4)))  # o
+    for step in gates:
+        assert all(block.flags.c_contiguous for block in core._gates(step))
     assert np.isfinite(loss)
     assert all(np.isfinite(val).all() for val in grads.values())
 
