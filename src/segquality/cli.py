@@ -43,13 +43,14 @@ def _load_manifest(path):
 
 
 def _tracking_options(func):
+    defaults = TrackingParams()
     for name, default, help_text in reversed(
         [
-            ("c-near", 10.0, "same-frame grouping distance (pixels)"),
-            ("c-over", 0.35, "overlap ratio threshold"),
-            ("c-dist", 100.0, "center distance threshold (pixels)"),
-            ("c-lin", 50.0, "regression match distance (pixels)"),
-            ("window", 5, "frames kept for center regression"),
+            ("c-near", defaults.c_near, "same-frame grouping distance (pixels)"),
+            ("c-over", defaults.c_over, "overlap ratio threshold"),
+            ("c-dist", defaults.c_dist, "center distance threshold (pixels)"),
+            ("c-lin", defaults.c_lin, "regression match distance (pixels)"),
+            ("window", defaults.history_window, "frames kept for center regression"),
         ]
     ):
         func = click.option(
@@ -217,8 +218,8 @@ def train_cmd(
     are those of eval's run r.  The model file also records the input layout
     and the standardizer.
     """
-    spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
     try:
+        spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
         table = read_dataset(dataset_path, header_path)
         split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
         model, test, (mean, std) = fit_split(

@@ -25,6 +25,8 @@ class SplitSpec:
             raise ValueError(f"fractions must sum to 1, got {self.fractions}")
         if min(self.fractions) <= 0:
             raise ValueError("fractions must be positive")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.base_seed < 0:
@@ -162,6 +164,11 @@ def split_indices(n: int, spec: SplitSpec, run: int):
     train = perm[:n_train]
     val = perm[n_train : n_train + n_val]
     test = perm[n_train + n_val :]
+    if min(len(train), len(val), len(test)) == 0:
+        raise ValueError(
+            f"a split of {take} records leaves a part empty: {len(train)} train, "
+            f"{len(val)} val, {len(test)} test"
+        )
     return train, val, test
 
 
@@ -261,6 +268,13 @@ def read_dataset(csv_path, header_path) -> MetaRecordTable:
     missing = [k for k in ("num_classes", "num_stability", "history") if k not in header]
     if missing:
         raise ValueError(f"{header_path}: dataset header lacks {', '.join(missing)}")
+    for key in ("num_classes", "num_stability", "history"):
+        value = header[key]
+        if type(value) is not int or value < 0:  # bool is an int subclass
+            raise ValueError(
+                f"{header_path}: dataset header field {key} must be a "
+                f"non-negative integer, got {value!r}"
+            )
     num_classes = header["num_classes"]
     num_stability = header["num_stability"]
     history = header["history"]

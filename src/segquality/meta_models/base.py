@@ -51,7 +51,7 @@ class ModelSpec:
 
 
 class TrainedModel:
-    """Base for trained meta models; predict is pure after training."""
+    """Base for trained meta models; each family implements raw_scores and params_dict."""
 
     family: str
 
@@ -61,10 +61,13 @@ class TrainedModel:
         self.task = task
         self.metadata = metadata
 
-    def predict(self, features, mask=None) -> np.ndarray:
+    def raw_scores(self, features, mask=None) -> np.ndarray:
+        """Unbounded scores: logits for classification, IoU estimates for regression."""
         raise NotImplementedError
 
-    def _finalize(self, raw: np.ndarray) -> np.ndarray:
+    def predict(self, features, mask=None) -> np.ndarray:
+        """Scores in [0, 1]: P(IoU = 0) for classification, clamped IoU for regression."""
+        raw = self.raw_scores(features, mask)
         if self.task == "classification":
             return expit(raw)
         return np.clip(raw, 0.0, 1.0)

@@ -219,16 +219,13 @@ class GradientBoostingModel(TrainedModel):
         self.shrinkage = float(shrinkage)
         self.n_features = int(n_features)
 
-    def raw_scores(self, features: np.ndarray) -> np.ndarray:
+    def raw_scores(self, features, mask=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         self._check_features(features, (self.n_features,))
         scores = np.full(len(features), self.base_score)
         for tree in self.trees:
             scores += self.shrinkage * tree.apply(features)
         return scores
-
-    def predict(self, features, mask=None) -> np.ndarray:
-        return self._finalize(self.raw_scores(features))
 
     def params_dict(self) -> dict:
         return {

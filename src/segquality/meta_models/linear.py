@@ -21,13 +21,10 @@ class LinearModel(TrainedModel):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.intercept = float(intercept)
 
-    def raw_scores(self, features: np.ndarray) -> np.ndarray:
+    def raw_scores(self, features, mask=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         self._check_features(features, self.weights.shape)
         return features @ self.weights + self.intercept
-
-    def predict(self, features, mask=None) -> np.ndarray:
-        return self._finalize(self.raw_scores(features))
 
     def params_dict(self) -> dict:
         return {"weights": self.weights.tolist(), "intercept": self.intercept}

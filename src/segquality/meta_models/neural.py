@@ -354,39 +354,40 @@ def _train_loop(
     }
 
 
-class ShallowNetModel(TrainedModel):
-    family = "shallow_nn"
+class _NetworkModel(TrainedModel):
+    """A trained network; its core holds the parameters and computes the scores."""
 
-    def __init__(self, task, params, metadata):
+    def __init__(self, task, core, metadata):
         super().__init__(task, metadata)
-        self.core = _FeedForwardCore(params, task)
+        self.core = core
 
     @property
     def params(self):
         return self.core.params
-
-    def predict(self, features, mask=None) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        self._check_features(features, (self.params["w1"].shape[0],))
-        return self._finalize(self.core.raw_scores(features))
 
     def params_dict(self) -> dict:
         return {k: v.tolist() for k, v in self.params.items()}
 
 
-class RecurrentNetModel(TrainedModel):
+class ShallowNetModel(_NetworkModel):
+    family = "shallow_nn"
+
+    def __init__(self, task, params, metadata):
+        super().__init__(task, _FeedForwardCore(params, task), metadata)
+
+    def raw_scores(self, features, mask=None) -> np.ndarray:
+        features = np.asarray(features, dtype=np.float64)
+        self._check_features(features, (self.params["w1"].shape[0],))
+        return self.core.raw_scores(features)
+
+
+class RecurrentNetModel(_NetworkModel):
     family = "shallow_lstm"
 
     def __init__(self, task, params, hidden, metadata):
-        super().__init__(task, metadata)
-        self.hidden = hidden
-        self.core = _RecurrentCore(params, task, hidden)
+        super().__init__(task, _RecurrentCore(params, task, hidden), metadata)
 
-    @property
-    def params(self):
-        return self.core.params
-
-    def predict(self, features, mask=None) -> np.ndarray:
+    def raw_scores(self, features, mask=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 3:
             raise ValueError("recurrent model expects (n, steps, features) input")
@@ -399,73 +400,51 @@ class RecurrentNetModel(TrainedModel):
                 f"mask shape mismatch: expected (n, steps) = {features.shape[:2]}, "
                 f"got {mask.shape}"
             )
-        return self._finalize(self.core.raw_scores(features, mask))
+        return self.core.raw_scores(features, mask)
 
     def params_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            **{k: v.tolist() for k, v in self.params.items()},
-        }
+        return {"hidden": self.core.hidden, **super().params_dict()}
+
+
+def _train_network(core_cls, train, val, spec: ModelSpec, initial_params, *core_args):
+    """Fit a core on (inputs..., y) splits; returns its parameters and metadata.
+
+    The rng draws the initial parameters (unless given), then the epoch
+    permutations.  `core_args` follow (params, task) in the core's constructor.
+    """
+    *inputs, y = (np.asarray(a, dtype=np.float64) for a in train)
+    *val_inputs, y_val = (np.asarray(a, dtype=np.float64) for a in val)
+    rng = np.random.default_rng(spec.seed)
+    params = (
+        core_cls.init_params(inputs[0].shape[-1], spec.hidden_units, rng)
+        if initial_params is None
+        else {k: np.array(v, dtype=np.float64) for k, v in initial_params.items()}
+    )
+    core = core_cls(params, spec.task, *core_args)
+    meta = _train_loop(core, inputs, y, val_inputs, y_val, spec, rng)
+    return core.params, spec_metadata(spec, meta)
 
 
 def train_nn(train, val, spec: ModelSpec, initial_params: dict | None = None):
-    X, y = train
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    X_val, y_val = val
-    rng = np.random.default_rng(spec.seed)
-    params = (
-        _FeedForwardCore.init_params(X.shape[1], spec.hidden_units, rng)
-        if initial_params is None
-        else {k: np.array(v, dtype=np.float64) for k, v in initial_params.items()}
-    )
-    core = _FeedForwardCore(params, spec.task)
-    meta = _train_loop(
-        core,
-        (X,),
-        y,
-        (np.asarray(X_val, dtype=np.float64),),
-        np.asarray(y_val, dtype=np.float64),
-        spec,
-        rng,
-    )
-    return ShallowNetModel(spec.task, core.params, spec_metadata(spec, meta))
+    params, meta = _train_network(_FeedForwardCore, train, val, spec, initial_params)
+    return ShallowNetModel(spec.task, params, meta)
 
 
 def train_lstm(train, val, spec: ModelSpec, initial_params: dict | None = None):
-    X, mask, y = train
-    X = np.asarray(X, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    X_val, mask_val, y_val = val
-    rng = np.random.default_rng(spec.seed)
-    params = (
-        _RecurrentCore.init_params(X.shape[2], spec.hidden_units, rng)
-        if initial_params is None
-        else {k: np.array(v, dtype=np.float64) for k, v in initial_params.items()}
-    )
-    core = _RecurrentCore(params, spec.task, spec.hidden_units)
-    meta = _train_loop(
-        core,
-        (X, mask),
-        y,
-        (np.asarray(X_val, dtype=np.float64), np.asarray(mask_val, dtype=np.float64)),
-        np.asarray(y_val, dtype=np.float64),
-        spec,
-        rng,
-    )
-    return RecurrentNetModel(
-        spec.task, core.params, spec.hidden_units, spec_metadata(spec, meta)
-    )
+    hidden = spec.hidden_units
+    params, meta = _train_network(_RecurrentCore, train, val, spec, initial_params, hidden)
+    return RecurrentNetModel(spec.task, params, hidden, meta)
+
+
+def _network_params(doc: dict) -> dict:
+    raw = doc["parameters"]
+    return {k: np.asarray(v, dtype=np.float64) for k, v in raw.items() if k != "hidden"}
 
 
 def load_nn(doc: dict) -> ShallowNetModel:
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["parameters"].items()}
-    return ShallowNetModel(doc["task"], params, doc["metadata"])
+    return ShallowNetModel(doc["task"], _network_params(doc), doc["metadata"])
 
 
 def load_lstm(doc: dict) -> RecurrentNetModel:
-    raw = dict(doc["parameters"])
-    hidden = int(raw.pop("hidden"))
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in raw.items()}
-    return RecurrentNetModel(doc["task"], params, hidden, doc["metadata"])
+    hidden = int(doc["parameters"]["hidden"])
+    return RecurrentNetModel(doc["task"], _network_params(doc), hidden, doc["metadata"])

@@ -160,6 +160,23 @@ def test_train_rejects_negative_run(runner, pipeline_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--epochs", "0", "network parameters must be >= 1"),
+        ("--epochs", "-1", "network parameters must be >= 1"),
+        ("--sample-size", "-5", "sample_size must be >= 1, got -5"),
+        ("--sample-size", "4", "a split of 4 records leaves a part empty: 3 train, 0 val, 1 test"),
+    ],
+)
+def test_train_rejects_bad_options(runner, pipeline_dir, tmp_path, option, value, message):
+    out = tmp_path / "model.json"
+    result = _train(runner, pipeline_dir, out, "linear", 0, option, value)
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert re.search(f"^Error: {message}$", result.output, re.MULTILINE)
+    assert not out.exists()
+
+
 def _eval(runner, pipeline_dir, prefix, *extra):
     return runner.invoke(
         main,
@@ -181,6 +198,8 @@ def _eval(runner, pipeline_dir, prefix, *extra):
     [
         ("--runs", "0", "runs must be >= 1"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--sample-size", "-5", "sample_size must be >= 1, got -5"),
+        ("--sample-size", "4", "a split of 4 records leaves a part empty: 3 train, 0 val, 1 test"),
     ],
 )
 def test_eval_rejects_bad_split_options(
@@ -196,7 +215,8 @@ def test_eval_rejects_bad_split_options(
 def mismatched_datasets(runner, pipeline_dir, tmp_path_factory):
     """(dataset CSV, header) pairs that do not fit together: a T=0 CSV with
     the T=2 header, and the T=2 CSV with an unknown header format, a header
-    that is not a JSON object, or a header that lacks the history length."""
+    that is not a JSON object, a header that lacks the history length, or a
+    header with a size field that is not a non-negative integer."""
     root = tmp_path_factory.mktemp("mismatch")
     result = runner.invoke(
         main,
@@ -213,6 +233,15 @@ def mismatched_datasets(runner, pipeline_dir, tmp_path_factory):
     header = json.loads((pipeline_dir / "dataset.json").read_text())
     (root / "format_x.json").write_text(json.dumps({**header, "format": "x"}))
     (root / "list.json").write_text(json.dumps([header]))
+    bad_fields = {
+        "str": ("num_classes", "8"),
+        "null": ("history", None),
+        "float": ("num_stability", 1.5),
+        "bool": ("history", True),
+        "negative": ("num_stability", -1),
+    }
+    for case, (key, value) in bad_fields.items():
+        (root / f"{case}.json").write_text(json.dumps({**header, key: value}))
     del header["history"]
     (root / "no_history.json").write_text(json.dumps(header))
     return {
@@ -220,6 +249,7 @@ def mismatched_datasets(runner, pipeline_dir, tmp_path_factory):
         "format": (pipeline_dir / "dataset.csv", root / "format_x.json"),
         "list": (pipeline_dir / "dataset.csv", root / "list.json"),
         "keys": (pipeline_dir / "dataset.csv", root / "no_history.json"),
+        **{case: (pipeline_dir / "dataset.csv", root / f"{case}.json") for case in bad_fields},
     }
 
 
@@ -232,8 +262,13 @@ def mismatched_datasets(runner, pipeline_dir, tmp_path_factory):
         ("format", "unsupported dataset header format: x"),
         ("list", "unsupported dataset header format: None"),
         ("keys", r"no_history\.json: dataset header lacks history"),
+        ("str", r"str\.json: dataset header field num_classes must be a non-negative integer, got '8'"),
+        ("null", "field history must be a non-negative integer, got None"),
+        ("float", "field num_stability must be a non-negative integer, got 1.5"),
+        ("bool", "field history must be a non-negative integer, got True"),
+        ("negative", "field num_stability must be a non-negative integer, got -1"),
     ],
-    ids=["history", "format", "list", "keys"],
+    ids=["history", "format", "list", "keys", "str", "null", "float", "bool", "negative"],
 )
 def test_dataset_header_mismatch_is_a_one_line_error(
     runner, mismatched_datasets, tmp_path, command, case, message

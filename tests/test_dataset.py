@@ -184,6 +184,19 @@ def test_split_spec_validation():
         SplitSpec(fractions=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError, match="runs"):
         SplitSpec(runs=0)
+    for size in (0, -5):
+        with pytest.raises(ValueError, match=f"sample_size must be >= 1, got {size}"):
+            SplitSpec(sample_size=size)
+
+
+@pytest.mark.parametrize(
+    "n, sample_size, sizes",
+    [(100, 4, "3 train, 0 val, 1 test"), (3, None, "2 train, 0 val, 1 test")],
+)
+def test_split_with_an_empty_part_raises(n, sample_size, sizes):
+    spec = SplitSpec(sample_size=sample_size)
+    with pytest.raises(ValueError, match=f"leaves a part empty: {sizes}$"):
+        split_indices(n, spec, 0)
 
 
 def test_standardize_hand_values():
