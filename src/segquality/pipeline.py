@@ -26,7 +26,7 @@ def extract_frame(
     feature vector; the ground truth is only needed for quality targets.
     """
     labels = heatmaps.predicted_labels(softmax)
-    segments = segmentation.connected_components(labels, frame_index)
+    segments = segmentation.connected_components(labels)
     maps = heatmaps.dispersion_heatmaps(softmax)
     if num_stability > 0:
         if cell_stack is None:
@@ -41,26 +41,27 @@ def extract_frame(
     features = seg_metrics.frame_features(segments, maps, softmax)
     if gt_labels is not None:
         ious = seg_metrics.frame_adjusted_iou(
-            segments.comp_map,
-            np.array([s.class_id for s in segments]),
-            gt_labels,
-            segmentation.label_components(gt_labels),
+            segments, gt_labels, segmentation.label_components(gt_labels)
         )
     else:
         ious = np.full(len(segments), np.nan)
+    # feature columns 0-1 are the exact pixel counts size and size_in
+    sizes = features[:, :2].astype(np.int64).tolist()
     rows = [
         SegmentFeatures(
             frame_index=frame_index,
-            component_index=segment.component_index,
-            class_id=segment.class_id,
-            size=segment.size,
-            size_inner=segment.size_inner,
+            component_index=index,
+            class_id=class_id,
+            size=size,
+            size_inner=size_inner,
             iou_adj=float(iou),
             features=vector,
             num_classes=softmax.shape[2],
             num_stability=num_stability,
         )
-        for segment, vector, iou in zip(segments, features, ious)
+        for index, (class_id, (size, size_inner), vector, iou) in enumerate(
+            zip(segments.classes.tolist(), sizes, features, ious)
+        )
     ]
     return segments, rows
 
@@ -110,7 +111,7 @@ def stream_segments(manifest: StreamManifest):
     """Each frame's predicted segments, one frame at a time."""
     for frame_index in range(manifest.num_frames):
         labels = heatmaps.predicted_labels(manifest.load_softmax(frame_index))
-        yield segmentation.connected_components(labels, frame_index)
+        yield segmentation.connected_components(labels)
 
 
 def assemble_dataset(

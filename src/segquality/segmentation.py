@@ -10,34 +10,6 @@ from scipy import ndimage
 _STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 
-@dataclass
-class Segment:
-    """One 8-connected same-class component of a label frame.
-
-    Pixels are stored in raster order; `inner` flags the pixels whose eight
-    neighbors all exist and belong to this component.
-    """
-
-    frame_index: int
-    component_index: int
-    class_id: int
-    pixels: np.ndarray
-    inner: np.ndarray
-    center: tuple[float, float]
-
-    @property
-    def size(self) -> int:
-        return len(self.pixels)
-
-    @property
-    def size_inner(self) -> int:
-        return int(self.inner.sum())
-
-    @property
-    def boundary_pixels(self) -> np.ndarray:
-        return self.pixels[~self.inner]
-
-
 def label_components(labels: np.ndarray) -> np.ndarray:
     """Map each pixel to its 8-connected same-class component index.
 
@@ -81,44 +53,55 @@ def inner_mask(comp_map: np.ndarray) -> np.ndarray:
     return out
 
 
-class FrameSegments(list):
-    """A frame's segments in component order, plus the component map and
-    interior mask they were cut from, for frame-level reductions."""
+@dataclass(eq=False)
+class FrameSegments:
+    """A frame's 8-connected same-class segments, as arrays indexed by
+    component (0, 1, ... in raster order of each segment's first pixel).
 
-    def __init__(self, segments, comp_map: np.ndarray, inner: np.ndarray):
-        super().__init__(segments)
-        self.comp_map = comp_map
-        self.inner = inner
+    `comp_map` (H, W) holds each pixel's component and `inner` (H, W) flags
+    the pixels whose eight neighbors all exist and share it.  `order` lists
+    the flat pixel indices grouped by component, raster order within each, so
+    segment i's pixels are `order[bounds[i]:bounds[i + 1]]`.
+    """
+
+    comp_map: np.ndarray
+    inner: np.ndarray
+    classes: np.ndarray  # (n,) class of each segment
+    centers: np.ndarray  # (n, 2) mean row and column of each segment
+    order: np.ndarray
+    bounds: np.ndarray  # (n + 1,)
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def indices(self, i: int) -> np.ndarray:
+        """Flat pixel indices of segment i, in raster order."""
+        return self.order[self.bounds[i] : self.bounds[i + 1]]
 
 
-def connected_components(labels: np.ndarray, frame_index: int = 0) -> FrameSegments:
-    """Partition a label frame into Segment records (raster-deterministic order)."""
+def connected_components(labels: np.ndarray) -> FrameSegments:
+    """Partition a label frame into its segments (raster-deterministic order)."""
     labels = np.asarray(labels)
     comp_map = label_components(labels)
-    inner = inner_mask(comp_map)
     flat = comp_map.ravel()
-    h, w = labels.shape
     counts = np.bincount(flat)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(flat, kind="stable")
-    pixels = np.empty((h * w, 2), dtype=np.int32)
-    pixels[:, 0], pixels[:, 1] = np.divmod(order, w)
-    rows, cols = np.indices((h, w)).reshape(2, -1)
+    rows, cols = np.indices(labels.shape).reshape(2, -1)
     # integer coordinate sums are exact, so each center is the rounded mean
-    center_rows = np.bincount(flat, weights=rows) / counts
-    center_cols = np.bincount(flat, weights=cols) / counts
-    inner_sorted = inner.ravel()[order]
-    classes = labels.ravel()[order[bounds[:-1]]]
-    segments = [
-        Segment(frame_index, idx, cls, pixels[lo:hi], inner_sorted[lo:hi], (r, c))
-        for idx, (cls, lo, hi, r, c) in enumerate(
-            zip(
-                classes.tolist(),
-                bounds[:-1].tolist(),
-                bounds[1:].tolist(),
-                center_rows.tolist(),
-                center_cols.tolist(),
-            )
-        )
-    ]
-    return FrameSegments(segments, comp_map, inner)
+    centers = np.stack(
+        [np.bincount(flat, weights=rows), np.bincount(flat, weights=cols)], axis=1
+    )
+    centers /= counts[:, None]
+    return FrameSegments(
+        comp_map,
+        inner_mask(comp_map),
+        labels.ravel()[order[bounds[:-1]]],
+        centers,
+        order,
+        bounds,
+    )

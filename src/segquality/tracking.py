@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .segmentation import Segment
+from .segmentation import FrameSegments
 
 
 @dataclass
@@ -100,9 +100,8 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _boundary_distance(a: Segment, b: Segment) -> float:
-    pa = a.boundary_pixels.astype(np.float64)
-    pb = b.boundary_pixels.astype(np.float64)
+def _boundary_distance(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Least distance between two (n, 2) float point sets."""
     if len(pa) > len(pb):
         pa, pb = pb, pa
     tree = cKDTree(pb)
@@ -125,28 +124,30 @@ def _euclid(a, b) -> float:
 
 @dataclass
 class _Group:
-    """A step-1 group: its root segment, class, pixels (those of all its
-    members), flat pixel indices and center."""
+    """A step-1 group: its root segment, class, and the flat indices, rows,
+    columns and center of its pixels (those of all its members)."""
 
     root: int
     class_id: int
-    pixels: np.ndarray
     flat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     center: tuple[float, float]
 
     @property
     def size(self) -> int:
-        return len(self.pixels)
+        return len(self.flat)
 
 
-def _make_group(segments: list[Segment], root: int, members: list[int], width: int):
-    pixels = np.concatenate([segments[i].pixels for i in members])
-    rows, cols = pixels[:, 0], pixels[:, 1]
+def _make_group(segments: FrameSegments, root: int, members: list[int], width: int):
+    flat = np.concatenate([segments.indices(i) for i in members])
+    rows, cols = np.divmod(flat, width)
     return _Group(
         root=root,
-        class_id=segments[root].class_id,
-        pixels=pixels,
-        flat=rows.astype(np.intp) * width + cols,
+        class_id=int(segments.classes[root]),
+        flat=flat,
+        rows=rows,
+        cols=cols,
         center=(float(rows.mean()), float(cols.mean())),
     )
 
@@ -158,19 +159,17 @@ def _overlap(track_map: np.ndarray, group: _Group, track_id: int, dy=0, dx=0):
     source = group.flat
     if dy or dx:
         h, w = track_map.shape
-        rows = group.pixels[:, 0] - dy
-        cols = group.pixels[:, 1] - dx
+        rows = group.rows - dy
+        cols = group.cols - dx
         inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
         source = source[inside] - (dy * w + dx)
     return np.count_nonzero(track_map.ravel()[source] == track_id) / group.size
 
 
-def _segment_order(segments: list[Segment]) -> list[int]:
-    # component indices follow the raster order of each segment's first pixel
-    return sorted(
-        range(len(segments)),
-        key=lambda i: (-segments[i].size, segments[i].component_index),
-    )
+def _segment_order(segments: FrameSegments) -> list[int]:
+    """Largest first; ties in component order, which is the raster order of
+    each segment's first pixel."""
+    return np.argsort(-segments.sizes, kind="stable").tolist()
 
 
 def _open_tracks(state, group, consumed):
@@ -226,14 +225,15 @@ _STEP_CANDIDATES = {2: _step2_candidates, 3: _step3_candidates, 4: _step4_candid
 
 def track_frame(
     state: TrackState,
-    segments: list[Segment],
+    segments: FrameSegments,
     frame_index: int,
     params: TrackingParams,
     frame_shape,
 ) -> list[TrackAssignment]:
     """Assign track ids to one frame's segments and update the track state.
 
-    Frames must come in increasing `frame_index` order; a frame without
+    Frames must come in increasing `frame_index` order and share one
+    `frame_shape`, the shape of the segments' component map; a frame without
     segments leaves the state as it is.  The segments are not modified.
     """
     if state.last_frame is not None and frame_index <= state.last_frame:
@@ -242,6 +242,17 @@ def track_frame(
         )
     if not segments:
         return []
+    frame_shape = tuple(frame_shape)
+    if segments.comp_map.shape != frame_shape:
+        raise ValueError(
+            f"frame_shape {frame_shape} differs from the segments' frame "
+            f"{segments.comp_map.shape}"
+        )
+    if state.track_map is not None and state.track_map.shape != frame_shape:
+        raise ValueError(
+            f"frame_shape {frame_shape} differs from the previous frame's "
+            f"{state.track_map.shape}"
+        )
     state.last_frame = frame_index
     cutoff = frame_index - params.history_window
     state.tracks = {
@@ -249,6 +260,10 @@ def track_frame(
         for track_id, track in state.tracks.items()
         if track.history[-1][0] > cutoff
     }
+    width = frame_shape[1]
+    classes = segments.classes.tolist()
+    centers = segments.centers.tolist()
+    inner = segments.inner.ravel()
     order = _segment_order(segments)
 
     # Step 1: same-frame grouping of nearby same-class segments (transitive).
@@ -266,25 +281,32 @@ def track_frame(
 
     def box(i):
         # a segment's extreme pixels are boundary pixels: this is the box of
-        # its boundary, computed when the segment is first compared
+        # its boundary, computed when the segment is first compared; its
+        # first and last pixels in raster order lie on its top and bottom rows
         if i not in boxes:
-            low, high = segments[i].pixels.min(axis=0), segments[i].pixels.max(axis=0)
-            boxes[i] = (int(low[0]), int(high[0]), int(low[1]), int(high[1]))
+            flat = segments.indices(i)
+            cols = flat % width
+            top, bottom = int(flat[0]) // width, int(flat[-1]) // width
+            boxes[i] = (top, bottom, int(cols.min()), int(cols.max()))
         return boxes[i]
 
+    def boundary(i):
+        flat = segments.indices(i)
+        rows, cols = np.divmod(flat[~inner[flat]], width)
+        return np.stack([rows, cols], axis=1).astype(np.float64)
+
     for idx in order:
-        seg = segments[idx]
         best = None
         for other in processed:
-            if segments[other].class_id != seg.class_id:
+            if classes[other] != classes[idx]:
                 continue
             # a pair whose boxes are c_near apart cannot be nearer: no tree
             if _box_gap(box(idx), box(other)) >= params.c_near:
                 continue
-            dist = _boundary_distance(seg, segments[other])
+            dist = _boundary_distance(boundary(idx), boundary(other))
             if dist >= params.c_near:
                 continue
-            key = (dist, _euclid(seg.center, segments[other].center), rank[other])
+            key = (dist, _euclid(centers[idx], centers[other]), rank[other])
             if best is None or key < best[0]:
                 best = (key, other)
         if best is not None:
@@ -295,10 +317,8 @@ def track_frame(
     members: dict[int, list[int]] = {}
     for idx in order:
         members.setdefault(find(idx), []).append(idx)
-    groups = [_make_group(segments, r, m, frame_shape[1]) for r, m in members.items()]
-    group_order = sorted(
-        groups, key=lambda g: (-g.size, segments[g.root].component_index)
-    )
+    groups = [_make_group(segments, r, m, width) for r, m in members.items()]
+    group_order = sorted(groups, key=lambda g: (-g.size, g.root))
 
     # Steps 2-4 match groups against tracked entities; each track is consumed
     # by at most one group per frame, each group matches at most once.
@@ -327,12 +347,11 @@ def track_frame(
 
     assignments = []
     for idx in range(len(segments)):
-        r = find(idx)
-        track_id, step = assigned[r]
+        track_id, step = assigned[find(idx)]
         assignments.append(
             TrackAssignment(
                 frame_index=frame_index,
-                component_index=segments[idx].component_index,
+                component_index=idx,
                 track_id=track_id,
                 matched_step=matched_step.get(idx, step),
             )
@@ -347,11 +366,11 @@ def track_frame(
 
 
 def track_stream(
-    per_frame_segments: Iterable[list[Segment]],
+    per_frame_segments: Iterable[FrameSegments],
     params: TrackingParams,
     frame_shape,
 ) -> list[list[TrackAssignment]]:
-    """Track a whole sequence of per-frame segment lists (any iterable, so a
+    """Track a whole sequence of per-frame segments (any iterable, so a
     generator can produce one frame at a time)."""
     state = TrackState()
     results = []

@@ -70,6 +70,13 @@ def flood_fill_components(labels):
     return comp, components
 
 
+def segment_pixels(segments, i):
+    """(n, 2) rows and columns of segment i of a `FrameSegments`, in raster
+    order, and the (n,) inner flags of those pixels."""
+    rows, cols = np.divmod(segments.indices(i), segments.comp_map.shape[1])
+    return np.stack([rows, cols], axis=1), segments.inner[rows, cols]
+
+
 def inner_pixels(pixel_set, h, w):
     inner = set()
     for r, c in pixel_set:

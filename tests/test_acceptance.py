@@ -19,9 +19,9 @@ from segquality.pipeline import assemble_dataset, process_stream
 from segquality.seg_metrics import (
     BASE_FEATURE_COUNT,
     ENTROPY_MEAN_INDEX,
-    adjusted_iou,
     feature_count,
     feature_names,
+    frame_adjusted_iou,
     frame_features,
 )
 from segquality.segmentation import connected_components
@@ -82,12 +82,13 @@ def test_criterion_2_formula_oracles_on_random_frames():
         segments = connected_components(labels)
         rows = frame_features(segments, np.stack([ent, var, mar]), probs)
         gt = np.asarray(rng.integers(0, c, size=(32, 32)))
+        ious = frame_adjusted_iou(segments, gt)
         heatmap = ent
         # a handful of segments per frame keeps the slow oracles affordable
         for i in range(0, len(segments), max(1, len(segments) // 5)):
-            segment = segments[i]
-            pixels = set(map(tuple, segment.pixels.tolist()))
-            inner = set(map(tuple, segment.pixels[segment.inner].tolist()))
+            segment_pixels, segment_inner = oracles.segment_pixels(segments, i)
+            pixels = set(map(tuple, segment_pixels.tolist()))
+            inner = set(map(tuple, segment_pixels[segment_inner].tolist()))
             expected = oracles.aggregate(pixels, inner, heatmap)
             aggregates = rows[i, ENTROPY_MEAN_INDEX : ENTROPY_MEAN_INDEX + 5]
             assert np.allclose(aggregates, expected, atol=1e-9)
@@ -97,12 +98,12 @@ def test_criterion_2_formula_oracles_on_random_frames():
             assert np.allclose(class_probs, expected_probs, atol=1e-9)
             checked["probs"] += 1
             expected_center = oracles.center(pixels)
-            actual_center = segment.center
+            actual_center = segments.centers[i]
             assert abs(actual_center[0] - expected_center[0]) < 1e-9
             assert abs(actual_center[1] - expected_center[1]) < 1e-9
             checked["center"] += 1
-            expected_iou = oracles.adjusted_iou(pixels, segment.class_id, gt)
-            assert abs(adjusted_iou(segment, gt) - expected_iou) < 1e-9
+            expected_iou = oracles.adjusted_iou(pixels, int(segments.classes[i]), gt)
+            assert abs(ious[i] - expected_iou) < 1e-9
             checked["iou"] += 1
         # overlap of segment 0 with a ground-truth component moved by a
         # random shift, read from the ground truth's component map; the
@@ -110,14 +111,15 @@ def test_criterion_2_formula_oracles_on_random_frames():
         # (clipped into the frame, so the source may lie outside)
         dy, dx = (int(v) for v in shift_rng.integers(-6, 7, size=2))
         gt_segments = connected_components(gt)
-        source = np.clip(segments[0].pixels[0] - (dy, dx), 0, 31)
-        k = gt_segments[gt_segments.comp_map[source[0], source[1]]]
-        j_set = set(map(tuple, segments[0].pixels.tolist()))
-        k_set = {(r + dy, col + dx) for r, col in k.pixels.tolist()}
+        j_pixels, _ = oracles.segment_pixels(segments, 0)
+        source = np.clip(j_pixels[0] - (dy, dx), 0, 31)
+        k = int(gt_segments.comp_map[source[0], source[1]])
+        j_set = set(map(tuple, j_pixels.tolist()))
+        k_pixels, _ = oracles.segment_pixels(gt_segments, k)
+        k_set = {(r + dy, col + dx) for r, col in k_pixels.tolist()}
         expected = oracles.overlap_ratio(j_set, k_set)
         actual = _overlap(
-            gt_segments.comp_map, _make_group(segments, 0, [0], 32),
-            k.component_index, dy, dx,
+            gt_segments.comp_map, _make_group(segments, 0, [0], 32), k, dy, dx
         )
         assert abs(actual - expected) < 1e-9
         checked["overlap"] += 1
@@ -146,13 +148,15 @@ def test_criterion_3_normalization_and_range_suite():
         gt = np.asarray(rng.integers(0, c, size=(24, 24)))
         segments = connected_components(labels)
         rows = frame_features(segments, np.stack([ent, var, mar]), probs)
-        for segment, row in zip(segments, rows, strict=True):
+        ious = frame_adjusted_iou(segments, gt)
+        assert len(rows) == len(ious) == len(segments)
+        for i, (row, value) in enumerate(zip(rows, ious)):
             total = row[BASE_FEATURE_COUNT : BASE_FEATURE_COUNT + c].sum()
             assert abs(total - 1.0) <= 1e-5
-            value = adjusted_iou(segment, gt)
             assert 0.0 <= value <= 1.0
-            pixels = set(map(tuple, segment.pixels.tolist()))
-            plain = oracles.plain_class_iou(pixels, segment.class_id, gt)
+            segment_pixels, _ = oracles.segment_pixels(segments, i)
+            pixels = set(map(tuple, segment_pixels.tolist()))
+            plain = oracles.plain_class_iou(pixels, int(segments.classes[i]), gt)
             assert value >= plain - 1e-12
             segment_pairs += 1
         if segment_pairs >= 1000:
@@ -194,14 +198,12 @@ def test_criterion_4_tracking_invariants(tmp_path, default_stream):
     f1[58:63, 58:63] = 1
     f2 = np.zeros(shape, dtype=int)
     f2[68:73, 68:78] = 1  # overlap with the (10,10)-shifted block is 25/50
-    frames = [connected_components(f, i) for i, f in enumerate((f0, f1, f2))]
+    frames = [connected_components(f) for f in (f0, f1, f2)]
     results = track_stream(frames, TrackingParams(), shape)
 
     def find(frame, cls):
-        seg = next(s for s in frames[frame] if s.class_id == cls)
-        return next(
-            a for a in results[frame] if a.component_index == seg.component_index
-        )
+        i = frames[frame].classes.tolist().index(cls)
+        return next(a for a in results[frame] if a.component_index == i)
 
     assert find(2, 1).track_id == find(0, 1).track_id
     assert find(2, 1).matched_step == 2
@@ -217,14 +219,12 @@ def test_criterion_4_tracking_invariants(tmp_path, default_stream):
     f3 = np.zeros(shape4, dtype=int)
     f3[34:39, 18:23] = 1
     seq.append(f3)
-    frames4 = [connected_components(f, i) for i, f in enumerate(seq)]
+    frames4 = [connected_components(f) for f in seq]
     results4 = track_stream(frames4, TrackingParams(), shape4)
 
     def find4(frame):
-        seg = next(s for s in frames4[frame] if s.class_id == 1)
-        return next(
-            a for a in results4[frame] if a.component_index == seg.component_index
-        )
+        i = frames4[frame].classes.tolist().index(1)
+        return next(a for a in results4[frame] if a.component_index == i)
 
     assert find4(3).track_id == find4(0).track_id
     assert find4(3).matched_step == 4
@@ -248,7 +248,7 @@ def test_criterion_4_tracking_invariants(tmp_path, default_stream):
     segs = []
     for i in range(0, manifest_d.num_frames, 10):
         labels = heatmaps.predicted_labels(manifest_d.load_softmax(i))
-        segs.append(connected_components(labels, len(segs)))
+        segs.append(connected_components(labels))
     run_a = track_stream(segs, TrackingParams(), (manifest_d.height, manifest_d.width))
     run_b = track_stream(segs, TrackingParams(), (manifest_d.height, manifest_d.width))
     flat_a = [

@@ -88,8 +88,7 @@ def test_frame_adjusted_iou_equals_oracle_exactly():
     rng = np.random.default_rng(12)
     for labels, gt in _frames(rng):
         segments = connected_components(labels)
-        classes = np.array([s.class_id for s in segments])
-        ious = frame_adjusted_iou(segments.comp_map, classes, gt)
+        ious = frame_adjusted_iou(segments, gt)
         _, components = oracles.flood_fill_components(labels)
         expected = [oracles.adjusted_iou(p, cls, gt) for cls, p in components]
         assert ious.tolist() == expected
@@ -103,9 +102,9 @@ def test_per_segment_adapters_are_rows_of_the_frame_matrix():
     maps = list(heatmaps.dispersion_heatmaps(probs)) + [rng.random((12, 15))]
     segments = connected_components(labels)
     matrix = frame_features(segments, np.stack(maps), probs)
-    classes = np.array([s.class_id for s in segments])
-    ious = frame_adjusted_iou(segments.comp_map, classes, gt)
-    for segment, row, iou in zip(segments, matrix, ious):
-        vector = assemble_features(segment, *maps[:3], maps[3:], probs)
+    ious = frame_adjusted_iou(segments, gt)
+    assert len(matrix) == len(ious) == len(segments)
+    for i, (row, iou) in enumerate(zip(matrix, ious)):
+        vector = assemble_features(segments, i, np.stack(maps), probs)
         assert np.array_equal(vector, row)
-        assert adjusted_iou(segment, gt) == iou
+        assert adjusted_iou(segments, i, gt) == iou

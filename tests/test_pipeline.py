@@ -38,9 +38,10 @@ def test_extract_frame_row_count_matches_segments(small_stream):
     gt = small_stream.load_ground_truth(0)
     segments, rows = extract_frame(softmax, cells, gt, 0, num_stability=2)
     assert len(segments) == len(rows)
-    for segment, row in zip(segments, rows):
-        assert segment.component_index == row.component_index
-        assert segment.size == row.size
+    for i, row in enumerate(rows):
+        assert row.component_index == i
+        assert row.size == segments.sizes[i]
+        assert row.class_id == segments.classes[i]
         assert 0.0 <= row.iou_adj <= 1.0
         assert len(row.features) == 22 + 8 + 5 * 2
 

@@ -7,10 +7,9 @@ from segquality.segmentation import connected_components
 from segquality.seg_metrics import (
     BASE_FEATURE_COUNT,
     ENTROPY_MEAN_INDEX,
-    adjusted_iou,
-    assemble_features,
     feature_count,
     feature_names,
+    frame_adjusted_iou,
     frame_features,
 )
 
@@ -18,7 +17,18 @@ from segquality.seg_metrics import (
 def _single_segment(labels):
     segments = connected_components(np.asarray(labels))
     assert len(segments) == 1
-    return segments[0]
+    return segments
+
+
+def _sets(segments, i):
+    """Pixel set and inner pixel set of segment i."""
+    pixels, inner = oracles.segment_pixels(segments, i)
+    return set(map(tuple, pixels.tolist())), set(map(tuple, pixels[inner].tolist()))
+
+
+def _class_segment(segments, class_id):
+    """Index of the (first) segment of class `class_id`."""
+    return segments.classes.tolist().index(class_id)
 
 
 def _features(segments, heatmap=None, softmax=None):
@@ -71,7 +81,7 @@ def test_aggregate_empty_interior_convention():
     labels = np.zeros((1, 5), dtype=int)
     (row,) = _aggregates(labels, np.full((1, 5), 0.4))
     mean, mean_in, mean_bd, rel, rel_in = row
-    assert _single_segment(labels).size_inner == 0
+    assert _single_segment(labels).inner.sum() == 0
     assert mean_in == 0.0
     assert rel_in == 0.0
     assert mean == pytest.approx(0.4)
@@ -84,9 +94,10 @@ def test_aggregate_matches_bruteforce_on_random_frames():
         labels = rng.integers(0, 3, size=(9, 9))
         heatmap = rng.random((9, 9))
         rows = _aggregates(labels, heatmap)
-        for segment, actual in zip(connected_components(labels), rows, strict=True):
-            pixels = set(map(tuple, segment.pixels.tolist()))
-            inner = set(map(tuple, segment.pixels[segment.inner].tolist()))
+        segments = connected_components(labels)
+        assert len(rows) == len(segments)
+        for i, actual in enumerate(rows):
+            pixels, inner = _sets(segments, i)
             expected = oracles.aggregate(pixels, inner, heatmap)
             assert np.allclose(actual, expected, atol=1e-9)
 
@@ -132,24 +143,24 @@ def test_assemble_features_prefix_consistency():
     rng = np.random.default_rng(2)
     probs = oracles.random_softmax(rng, 8, 8, 4)
     labels = heatmaps.predicted_labels(probs)
-    ent, var, mar = heatmaps.dispersion_heatmaps(probs)
+    dispersion = list(heatmaps.dispersion_heatmaps(probs))
     stacks = [rng.random((8, 8)) for _ in range(3)]
-    segment = connected_components(labels)[0]
-    full = assemble_features(segment, ent, var, mar, stacks, probs)
+    segments = connected_components(labels)
+    full = frame_features(segments, np.stack(dispersion + stacks), probs)
     for m in range(3):
-        partial = assemble_features(segment, ent, var, mar, stacks[:m], probs)
-        assert len(partial) == feature_count(4, m)
-        assert np.array_equal(partial, full[: len(partial)])
+        partial = frame_features(segments, np.stack(dispersion + stacks[:m]), probs)
+        assert partial.shape[1] == feature_count(4, m)
+        assert np.array_equal(partial, full[:, : partial.shape[1]])
 
 
 def test_assemble_features_canonical_values():
     labels = np.zeros((3, 3), dtype=int)
-    segment = _single_segment(labels)
+    segments = _single_segment(labels)
     softmax = np.zeros((3, 3, 2))
     softmax[:, :, 0] = 0.9
     softmax[:, :, 1] = 0.1
-    ent, var, mar = heatmaps.dispersion_heatmaps(softmax)
-    vec = assemble_features(segment, ent, var, mar, [], softmax)
+    maps = heatmaps.dispersion_heatmaps(softmax)
+    (vec,) = frame_features(segments, maps, softmax)
     names = feature_names(2, 0)
     row = dict(zip(names, vec))
     assert row["size"] == 9
@@ -167,8 +178,8 @@ def test_adjusted_iou_exact_match():
     gt = np.zeros((6, 6), dtype=int)
     gt[1:4, 1:4] = 1
     pred_segments = connected_components(gt)
-    segment = next(s for s in pred_segments if s.class_id == 1)
-    assert adjusted_iou(segment, gt) == 1.0
+    i = _class_segment(pred_segments, 1)
+    assert frame_adjusted_iou(pred_segments, gt)[i] == 1.0
 
 
 def test_adjusted_iou_no_intersection_is_zero():
@@ -176,8 +187,9 @@ def test_adjusted_iou_no_intersection_is_zero():
     gt[4:, 4:] = 1
     pred = np.zeros((6, 6), dtype=int)
     pred[0:2, 0:2] = 1
-    segment = next(s for s in connected_components(pred) if s.class_id == 1)
-    assert adjusted_iou(segment, gt) == 0.0
+    segments = connected_components(pred)
+    i = _class_segment(segments, 1)
+    assert frame_adjusted_iou(segments, gt)[i] == 0.0
 
 
 def test_adjusted_iou_ignores_disjoint_components():
@@ -187,10 +199,11 @@ def test_adjusted_iou_ignores_disjoint_components():
     gt[6, 1:6] = 1  # Q2: 5 pixels, far from the prediction
     pred = np.zeros((8, 12), dtype=int)
     pred[1:3, 2:7] = 1  # k: 10 pixels, 6 shared with Q1
-    segment = next(s for s in connected_components(pred) if s.class_id == 1)
-    value = adjusted_iou(segment, gt)
+    segments = connected_components(pred)
+    i = _class_segment(segments, 1)
+    value = frame_adjusted_iou(segments, gt)[i]
     assert value == pytest.approx(6 / 12)
-    pixels = set(map(tuple, segment.pixels.tolist()))
+    pixels, _ = _sets(segments, i)
     assert oracles.plain_class_iou(pixels, 1, gt) == pytest.approx(6 / 17)
     assert value >= oracles.plain_class_iou(pixels, 1, gt)
 
@@ -200,10 +213,23 @@ def test_adjusted_iou_matches_oracle_and_dominates_plain_iou():
     for _ in range(20):
         pred = rng.integers(0, 3, size=(10, 10))
         gt = rng.integers(0, 3, size=(10, 10))
-        for segment in connected_components(pred):
-            pixels = set(map(tuple, segment.pixels.tolist()))
-            ours = adjusted_iou(segment, gt)
-            expected = oracles.adjusted_iou(pixels, segment.class_id, gt)
+        segments = connected_components(pred)
+        ious = frame_adjusted_iou(segments, gt)
+        for i, ours in enumerate(ious):
+            pixels, _ = _sets(segments, i)
+            class_id = int(segments.classes[i])
+            expected = oracles.adjusted_iou(pixels, class_id, gt)
             assert ours == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= ours <= 1.0
-            assert ours >= oracles.plain_class_iou(pixels, segment.class_id, gt) - 1e-12
+            assert ours >= oracles.plain_class_iou(pixels, class_id, gt) - 1e-12
+
+
+def test_frame_adjusted_iou_rejects_ground_truth_of_another_shape():
+    segments = connected_components(np.zeros((4, 6), dtype=int))
+    for shape in ((6, 4), (4, 7)):
+        with pytest.raises(
+            ValueError,
+            match=rf"^ground truth \({shape[0]}, {shape[1]}\) must have the "
+            r"prediction's shape \(4, 6\)$",
+        ):
+            frame_adjusted_iou(segments, np.zeros(shape, dtype=int))

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from segquality.pipeline import stream_segments
-from segquality.segmentation import Segment, connected_components
+from segquality.segmentation import connected_components
 from segquality.synth import SynthConfig, generate_stream
 from segquality.tracking import (
     TrackingParams,
@@ -20,18 +20,34 @@ from segquality.tracking import (
 PARAMS = TrackingParams()
 
 
-def _segments(labels, frame_index):
-    return connected_components(np.asarray(labels), frame_index)
+def _segments(labels):
+    return connected_components(np.asarray(labels))
 
 
 def _frames_to_assignments(frames):
     shape = np.asarray(frames[0]).shape
-    per_frame = [_segments(f, i) for i, f in enumerate(frames)]
+    per_frame = [_segments(f) for f in frames]
     return per_frame, track_stream(per_frame, PARAMS, shape)
 
 
 def _group(segments, i, width):
     return _make_group(segments, i, [i], width)
+
+
+def _pixels(segments, i):
+    """(n, 2) rows and columns of segment i."""
+    return oracles.segment_pixels(segments, i)[0]
+
+
+def _of_class(segments, class_id):
+    """Index of the (first) segment of class `class_id`."""
+    return segments.classes.tolist().index(class_id)
+
+
+def _assignment(per_frame, assignments, frame, cls):
+    """The assignment of the (first) class-`cls` segment of `frame`."""
+    i = _of_class(per_frame[frame], cls)
+    return next(a for a in assignments[frame] if a.component_index == i)
 
 
 def _track_map(shape, *pixel_sets):
@@ -50,19 +66,19 @@ def _block(labels, value, r0, r1, c0, c1):
 def test_overlap_identity_and_disjoint():
     labels = np.zeros((4, 4), dtype=int)
     labels[:2, :2] = 1
-    segments = _segments(labels, 0)
-    i = next(i for i, s in enumerate(segments) if s.class_id == 1)
+    segments = _segments(labels)
+    i = _of_class(segments, 1)
     group = _group(segments, i, 4)
-    same = _track_map((4, 4), segments[i].pixels)
+    same = _track_map((4, 4), _pixels(segments, i))
     assert _overlap(same, group, 0) == 1.0
     assert _overlap(same, group, 1) == 0.0
     assert _overlap(np.full((4, 4), -1), group, 0) == 0.0
 
 
 def test_overlap_hand_value():
-    pixels = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int32)
-    segment = Segment(0, 0, 0, pixels, np.zeros(4, dtype=bool), (0.5, 0.5))
-    group = _group([segment], 0, 4)
+    labels = np.zeros((3, 4), dtype=int)
+    labels[:2, :2] = 1  # segment 0: pixels (0, 0), (0, 1), (1, 0), (1, 1)
+    group = _group(_segments(labels), 0, 4)
     track_map = _track_map((3, 4), np.array([[1, 1], [1, 2]]))
     assert _overlap(track_map, group, 0) == 0.25
     # moved by (1, 1), track pixel (0, 0) covers (1, 1); the sources of the
@@ -79,15 +95,15 @@ def test_overlap_matches_set_oracle():
     crossed = set()
     for _ in range(40):
         h, w = (int(v) for v in rng.integers(3, 12, size=2))
-        current = _segments(rng.integers(0, 2, size=(h, w)), 1)
-        previous = connected_components(rng.integers(0, 3, size=(h, w)), 0)
+        current = _segments(rng.integers(0, 2, size=(h, w)))
+        previous = _segments(rng.integers(0, 3, size=(h, w)))
         track_map = previous.comp_map.astype(np.int64)
-        for i, segment in enumerate(current):
+        for i in range(len(current)):
             group = _group(current, i, w)
-            j_set = set(map(tuple, segment.pixels.tolist()))
-            for k in previous:
+            j_set = set(map(tuple, _pixels(current, i).tolist()))
+            for k in range(len(previous)):
                 dy, dx = (int(v) for v in rng.integers(-4, 5, size=2))
-                k_pixels = k.pixels + np.array([dy, dx])
+                k_pixels = _pixels(previous, k) + np.array([dy, dx])
                 crossed |= {
                     name
                     for name, out in (
@@ -101,7 +117,7 @@ def test_overlap_matches_set_oracle():
                 expected = oracles.overlap_ratio(
                     j_set, set(map(tuple, k_pixels.tolist()))
                 )
-                actual = _overlap(track_map, group, k.component_index, dy, dx)
+                actual = _overlap(track_map, group, k, dy, dx)
                 assert actual == expected
     assert crossed == {"top", "bottom", "left", "right"}
 
@@ -174,20 +190,16 @@ def test_step2_shifted_overlap_match():
     per_frame, assignments = _frames_to_assignments([f0, f1, f2])
 
     def tid(frame, cls):
-        seg = next(s for s in per_frame[frame] if s.class_id == cls)
-        return next(
-            a for a in assignments[frame] if a.component_index == seg.component_index
-        )
+        return _assignment(per_frame, assignments, frame, cls)
 
     assert tid(1, 1).track_id == tid(0, 1).track_id
     a2 = tid(2, 1)
     assert a2.track_id == tid(0, 1).track_id
     assert a2.matched_step == 2
     # sanity: the raw overlap ratio of the fixture is exactly 0.5
-    seg1 = next(s for s in per_frame[1] if s.class_id == 1)
-    i2 = next(i for i, s in enumerate(per_frame[2]) if s.class_id == 1)
-    group = _group(per_frame[2], i2, shape[1])
-    assert _overlap(_track_map(shape, seg1.pixels), group, 0, 10, 10) == 0.5
+    seg1 = _pixels(per_frame[1], _of_class(per_frame[1], 1))
+    group = _group(per_frame[2], _of_class(per_frame[2], 1), shape[1])
+    assert _overlap(_track_map(shape, seg1), group, 0, 10, 10) == 0.5
 
 
 def test_step4_linear_reappearance_match():
@@ -206,22 +218,12 @@ def test_step4_linear_reappearance_match():
     per_frame, assignments = _frames_to_assignments(frames)
 
     def assignment(frame):
-        seg = next(s for s in per_frame[frame] if s.class_id == 1)
-        return next(
-            a for a in assignments[frame] if a.component_index == seg.component_index
-        )
+        return _assignment(per_frame, assignments, frame, 1)
 
     assert assignment(1).track_id == assignment(0).track_id
     a3 = assignment(3)
     assert a3.track_id == assignment(0).track_id
     assert a3.matched_step == 4
-
-
-def _assignment(per_frame, assignments, frame, cls):
-    seg = next(s for s in per_frame[frame] if s.class_id == cls)
-    return next(
-        a for a in assignments[frame] if a.component_index == seg.component_index
-    )
 
 
 def test_step3_plain_overlap_match():
@@ -230,7 +232,7 @@ def test_step3_plain_overlap_match():
     shape = (40, 40)
     f0 = _block(np.zeros(shape, dtype=int), 1, 20, 30, 20, 30)
     f1 = _block(np.zeros(shape, dtype=int), 1, 23, 33, 20, 30)
-    per_frame = [_segments(f, i) for i, f in enumerate((f0, f1))]
+    per_frame = [_segments(f) for f in (f0, f1)]
     assignments = track_stream(per_frame, TrackingParams(c_dist=0.5), shape)
     moved = _assignment(per_frame, assignments, 1, 1)
     assert moved.track_id == _assignment(per_frame, assignments, 0, 1).track_id
@@ -244,7 +246,7 @@ def test_step2_shifted_track_crossing_the_border():
     f0 = _block(np.zeros(shape, dtype=int), 1, 8, 14, 32, 38)
     f1 = _block(np.zeros(shape, dtype=int), 1, 8, 14, 35, 41)  # step 3, 3/6
     f2 = _block(np.zeros(shape, dtype=int), 1, 8, 14, 38, 42)  # shift (0, 3)
-    per_frame = [_segments(f, i) for i, f in enumerate((f0, f1, f2))]
+    per_frame = [_segments(f) for f in (f0, f1, f2)]
     assignments = track_stream(per_frame, TrackingParams(c_dist=0.5), shape)
     first = _assignment(per_frame, assignments, 0, 1).track_id
     assert _assignment(per_frame, assignments, 1, 1).matched_step == 3
@@ -272,10 +274,7 @@ def test_step4_gap_boundary(gap, step):
     per_frame, assignments = _frames_to_assignments(_gap_frames(gap))
 
     def block(frame):
-        seg = next(s for s in per_frame[frame] if s.class_id == 1)
-        return next(
-            a for a in assignments[frame] if a.component_index == seg.component_index
-        )
+        return _assignment(per_frame, assignments, frame, 1)
 
     back = block(len(per_frame) - 1)
     assert back.matched_step == step
@@ -301,7 +300,7 @@ def test_state_keeps_only_tracks_of_the_last_window(tmp_path):
 
 def test_frame_index_must_increase():
     state = TrackState()
-    segments = _segments(np.zeros((5, 5), dtype=int), 3)
+    segments = _segments(np.zeros((5, 5), dtype=int))
     track_frame(state, segments, 3, PARAMS, (5, 5))
     for frame_index in (3, 2):
         with pytest.raises(ValueError, match="frame_index must increase"):
@@ -316,11 +315,9 @@ def test_step1_groups_nearby_same_class_segments():
     _block(f, 2, 20, 25, 20, 25)  # different class, irrelevant
     per_frame, assignments = _frames_to_assignments([f])
     by_class = {}
-    for seg in per_frame[0]:
-        a = next(
-            x for x in assignments[0] if x.component_index == seg.component_index
-        )
-        by_class.setdefault(seg.class_id, []).append(a)
+    for i, class_id in enumerate(per_frame[0].classes.tolist()):
+        a = next(x for x in assignments[0] if x.component_index == i)
+        by_class.setdefault(class_id, []).append(a)
     ones = by_class[1]
     assert len(ones) == 2
     assert ones[0].track_id == ones[1].track_id
@@ -377,7 +374,7 @@ def test_empty_frame_list_and_degenerate_frames():
     state = TrackState()
     assert track_frame(state, [], 0, PARAMS, (5, 5)) == []
     labels = np.zeros((5, 5), dtype=int)
-    segs = _segments(labels, 0)
+    segs = _segments(labels)
     out = track_frame(state, segs, 0, PARAMS, (5, 5))
     assert len(out) == 1 and out[0].matched_step == 5
 
@@ -440,3 +437,83 @@ def test_step1_builds_no_tree_for_far_pairs(monkeypatch):
     _, assignments = _frames_to_assignments([near])
     assert len(built) == 1
     assert sorted(a.matched_step for a in assignments[0]) == [1, 5, 5]
+
+
+def test_frame_shape_must_be_the_segments_frame():
+    segments = _segments(np.zeros((8, 10), dtype=int))
+    with pytest.raises(
+        ValueError,
+        match=r"^frame_shape \(10, 8\) differs from the segments' frame \(8, 10\)$",
+    ):
+        track_frame(TrackState(), segments, 0, PARAMS, (10, 8))
+
+
+def test_frame_shape_must_stay_the_previous_frames():
+    state = TrackState()
+    track_frame(state, _segments(np.zeros((8, 10), dtype=int)), 0, PARAMS, (8, 10))
+    with pytest.raises(
+        ValueError,
+        match=r"^frame_shape \(10, 8\) differs from the previous frame's \(8, 10\)$",
+    ):
+        track_frame(state, _segments(np.zeros((10, 8), dtype=int)), 1, PARAMS, (10, 8))
+    assert state.last_frame == 0
+
+
+def _random_layouts(rng, h, w, frames):
+    """Label frames of a few same- and different-class blocks that drift,
+    vanish for a frame or two and come back, over a little label noise."""
+    blocks = []
+    for _ in range(int(rng.integers(2, 7))):
+        size = rng.integers(2, 7, size=2)
+        start = rng.uniform((0, 0), (h - size[0], w - size[1]))
+        velocity = rng.uniform(-2, 2, size=2)
+        blocks.append((int(rng.integers(1, 4)), size, start, velocity))
+    for t in range(frames):
+        labels = np.where(rng.random((h, w)) < 0.02, rng.integers(0, 4, (h, w)), 0)
+        for class_id, size, start, velocity in blocks:
+            if rng.random() < 0.15:
+                continue
+            r, c = np.clip(start + t * velocity, 0, (h - size[0], w - size[1]))
+            r, c = int(r), int(c)
+            labels[r : r + size[0], c : c + size[1]] = class_id
+        yield labels
+
+
+def test_tracker_invariants_on_random_layouts():
+    """Seeded random streams: one assignment per segment in component order,
+    step-1 members share a same-class root's id, no id serves two groups of
+    a frame, and step 5 issues the next ids, above every id issued before."""
+    steps = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(12, 40, size=2))
+        # a small center distance leaves some matches to steps 3 and 4
+        params = TrackingParams(
+            c_near=float(rng.uniform(1, 10)), c_dist=float(rng.choice([1.0, 100.0]))
+        )
+        state = TrackState()
+        issued = 0
+        for f, labels in enumerate(_random_layouts(rng, h, w, 15)):
+            segments = _segments(labels)
+            out = track_frame(state, segments, f, params, (h, w))
+            assert [a.component_index for a in out] == list(range(len(segments)))
+            assert {a.frame_index for a in out} == {f}
+            classes = segments.classes.tolist()
+            roots = {
+                a.track_id: classes[a.component_index]
+                for a in out
+                if a.matched_step != 1
+            }
+            assert len(roots) == sum(a.matched_step != 1 for a in out)
+            for a in out:
+                if a.matched_step == 1:
+                    assert roots[a.track_id] == classes[a.component_index]
+            fresh = sorted(a.track_id for a in out if a.matched_step == 5)
+            assert fresh == list(range(issued, issued + len(fresh)))
+            assert all(
+                a.track_id < issued for a in out if a.matched_step in (2, 3, 4)
+            )
+            issued += len(fresh)
+            assert state.next_id == issued
+            steps |= {a.matched_step for a in out}
+    assert steps == {1, 2, 3, 4, 5}
