@@ -235,6 +235,19 @@ def for_each_csv_row(reader, path, width: int, read_row) -> None:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
+def check_finite_columns(values: np.ndarray, path, names) -> None:
+    """Reject the first non-finite entry of the (rows, columns) values read
+    from a CSV of one header line and one line per row, naming its file, line
+    and column in the message `for_each_csv_row` gives."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}, line {row + 2}: {names[col]} is {values[row, col]}, "
+            "not a finite number"
+        )
+
+
 def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
     """Serialize a record table as CSV (one row per record) plus a JSON header."""
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -304,6 +317,13 @@ def read_dataset(csv_path, header_path) -> MetaRecordTable:
 
         for_each_csv_row(reader, csv_path, len(expected), read_row)
     n = len(frames)
+    features = np.stack(feats) if n else np.zeros((0, history + 1, dim))
+    mask = np.array(masks) if n else np.zeros((0, history + 1))
+    iou = np.array(ious, dtype=np.float64)
+    # iou_adj, masks and features: every value a model reads
+    blocks = ((iou[:, None], 3), (mask, 4), (features.reshape(n, -1), 5 + history))
+    for block, first in blocks:
+        check_finite_columns(block, csv_path, expected[first:])
     return MetaRecordTable(
         num_classes=num_classes,
         num_stability=num_stability,
@@ -311,7 +331,7 @@ def read_dataset(csv_path, header_path) -> MetaRecordTable:
         frames=np.array(frames, dtype=np.int64),
         components=np.array(components, dtype=np.int64),
         track_ids=np.array(track_ids, dtype=np.int64),
-        features=np.stack(feats) if n else np.zeros((0, history + 1, dim)),
-        mask=np.array(masks) if n else np.zeros((0, history + 1)),
-        iou=np.array(ious, dtype=np.float64),
+        features=features,
+        mask=mask,
+        iou=iou,
     )

@@ -19,24 +19,37 @@ _EPS = 1e-12
 class _SplitContext:
     """Presorted feature matrix shared by every tree of one training run.
 
-    The per-feature sort happens once; tree growth partitions the sorted
-    order (and the dense per-feature ranks of the sorted values) down to the
-    children, so equal values keep their global order and no node ever
-    re-sorts.
+    The per-feature sort happens once, stored feature-major: each row of
+    `order` is one column's stable sort of the training rows.  Tree growth
+    partitions the sorted order down to the children, so equal values keep
+    their global order and no node ever re-sorts.
+
+    A column whose sorted order (and, if it has ties, whose dense ranks of
+    the sorted values) equal an earlier column's scores identically at every
+    node and loses every tie to it, so only the first of each such group is
+    kept.  Columns with ties come first, and only they carry ranks, which
+    decide where adjacent sorted values are distinct.
     """
 
     def __init__(self, X: np.ndarray, min_leaf: int):
-        self.X = X
+        self.Xt = np.ascontiguousarray(X.T)
         self.min_leaf = min_leaf
-        # Fortran order keeps the transposed compresses in partition contiguous
-        self.sorted_idx = np.asfortranarray(
-            np.argsort(X, axis=0, kind="stable").astype(np.int32)
-        )
-        sorted_x = np.take_along_axis(X, self.sorted_idx, 0)
-        # equal values share a rank, so rank order decides distinctness
-        steps = np.zeros(X.shape, dtype=np.int32)
-        steps[1:] = sorted_x[1:] != sorted_x[:-1]
-        self.sorted_rank = np.asfortranarray(np.cumsum(steps, axis=0, dtype=np.int32))
+        order = np.argsort(self.Xt, axis=1, kind="stable")
+        sorted_x = np.take_along_axis(self.Xt, order, 1)
+        steps = np.zeros(order.shape, dtype=np.int32)
+        steps[:, 1:] = sorted_x[:, 1:] != sorted_x[:, :-1]
+        ranks = np.cumsum(steps, axis=1, dtype=np.int32)
+        tied = np.count_nonzero(steps, axis=1) < order.shape[1] - 1
+        first = {}
+        for j in range(len(order)):
+            key = order[j].tobytes() + (ranks[j].tobytes() if tied[j] else b"")
+            first.setdefault(key, j)
+        kept = np.array(sorted(first.values()), dtype=np.intp)
+        self.features = kept[np.argsort(~tied[kept], kind="stable")]
+        self.order = order[self.features]
+        self.ranks = ranks[self.features[tied[self.features]]]
+        # `total` and the leaf sums run in column 0's order
+        self.lead = int(np.flatnonzero(self.features == 0)[0])
 
     def best_split(self, order: np.ndarray, ranks: np.ndarray, grad: np.ndarray):
         """Exact greedy split search; returns (feature, threshold) or None.
@@ -46,57 +59,60 @@ class _SplitContext:
         squared-error gain, which must be positive for a split to be kept.
         Candidate thresholds fall between distinct adjacent values; ties
         resolve to the smallest sorted position, then the feature index.
+        Position p puts the first p + 1 sorted rows on the left.  Scores are
+        never negative, so a position that is no candidate (a side below
+        `min_leaf` rows, an empty right side, a tie with the next value)
+        scores 0, which no split passing the gain check can tie.
         """
-        n_node = order.shape[0]
+        n_node = order.shape[1]
         if n_node < 2 * self.min_leaf:
             return None
-        csum = np.cumsum(grad[order], axis=0)
-        total = csum[-1, 0]
-        left_count = np.arange(1, n_node, dtype=np.float64)[:, None]
+        csum = grad.take(order)
+        np.cumsum(csum, axis=1, out=csum)
+        total = csum[self.lead, -1]
+        left_count = np.arange(1, n_node + 1, dtype=np.float64)
         right_count = n_node - left_count
-        left_sum = csum[:-1]
-        right_sum = total - left_sum
-        score = np.square(left_sum)
+        right_count[-1] = np.inf
+        score = np.square(csum)
         score /= left_count
-        np.square(right_sum, out=right_sum)
-        right_sum /= right_count
-        score += right_sum
-        ok = ranks[:-1] < ranks[1:]
-        if self.min_leaf > 1:
-            ok &= (left_count >= self.min_leaf) & (right_count >= self.min_leaf)
-        score[~ok] = -np.inf
-        flat = int(np.argmax(score))
-        pos, feat = np.unravel_index(flat, score.shape)
-        if not np.isfinite(score[pos, feat]):
+        np.subtract(total, csum, out=csum)
+        np.square(csum, out=csum)
+        csum /= right_count
+        score += csum
+        score[:, : self.min_leaf - 1] = 0.0
+        score[:, n_node - self.min_leaf :] = 0.0
+        distinct = np.zeros(ranks.shape, dtype=bool)
+        np.not_equal(ranks[:, 1:], ranks[:, :-1], out=distinct[:, :-1])
+        score[: len(ranks)] *= distinct
+        best = score.max(axis=0)
+        pos = int(np.argmax(best))
+        if best[pos] - total**2 / n_node <= 0:
             return None
-        if score[pos, feat] - total**2 / n_node <= 0:
-            return None
+        rows = np.flatnonzero(score[:, pos] == best[pos])
+        row = rows[np.argmin(self.features[rows])]
+        feat = int(self.features[row])
         # split predicate is x <= threshold with the left side's max value,
         # which reproduces the training partition exactly regardless of float
         # spacing
-        return int(feat), float(self.X[order[pos, feat], feat])
+        return feat, float(self.Xt[feat, order[row, pos]])
 
     def partition(self, order: np.ndarray, ranks: np.ndarray, go_left: np.ndarray):
         """Split (order, ranks) into the left/right children, preserving order.
 
-        Each is compressed as a flat feature-major buffer (a view of the
-        Fortran-ordered array) and reshaped back to (rows, features).
+        Each is compressed as one flat feature-major buffer and reshaped back
+        to (features, rows); the ranks' mask is the leading part of the
+        order's, as the tied columns come first.
         """
-        n_node, d = order.shape
-        flat_order, flat_ranks = order.T.ravel(), ranks.T.ravel()
-        valid = go_left[flat_order]
-        invalid = ~valid
-        n_left = int(valid[:n_node].sum())
-        n_right = n_node - n_left
-        left = (
-            flat_order.compress(valid).reshape(d, n_left).T,
-            flat_ranks.compress(valid).reshape(d, n_left).T,
-        )
-        right = (
-            flat_order.compress(invalid).reshape(d, n_right).T,
-            flat_ranks.compress(invalid).reshape(d, n_right).T,
-        )
-        return left, right
+        (k, n_node), t = order.shape, len(ranks)
+        left = go_left.take(order).ravel()
+        children = []
+        for mask in (left, ~left):
+            n_child = int(np.count_nonzero(mask[:n_node]))
+            children.append((
+                order.ravel().compress(mask).reshape(k, n_child),
+                ranks.ravel().compress(mask[: t * n_node]).reshape(t, n_child),
+            ))
+        return children
 
 
 class _Tree:
@@ -188,24 +204,33 @@ def _fit_tree(ctx: _SplitContext, grad, hess, depth: int):
     tree = _Tree()
     reached = np.zeros(len(grad))
 
-    def grow(order: np.ndarray, ranks: np.ndarray, level: int) -> int:
+    def leaf(rows: np.ndarray) -> int:
         node = tree._add_node()
+        tree.value[node] = _leaf_value(grad[rows], hess[rows])
+        reached[rows] = tree.value[node]
+        return node
+
+    def grow(order: np.ndarray, ranks: np.ndarray, level: int) -> int:
         split = ctx.best_split(order, ranks, grad) if level < depth else None
         if split is None:
-            rows = order[:, 0]  # every column holds the same row set
-            tree.value[node] = _leaf_value(grad[rows], hess[rows])
-            reached[rows] = tree.value[node]
-            return node
+            return leaf(order[ctx.lead])  # every row of order holds the same rows
+        node = tree._add_node()
         feat, thr = split
-        go_left = ctx.X[:, feat] <= thr
-        (order_l, ranks_l), (order_r, ranks_r) = ctx.partition(order, ranks, go_left)
+        go_left = ctx.Xt[feat] <= thr
         tree.feature[node] = feat
         tree.threshold[node] = thr
+        if level + 1 == depth:  # both children are leaves: no partition
+            rows = order[ctx.lead]
+            rows_left = go_left.take(rows)
+            tree.left[node] = leaf(rows.compress(rows_left))
+            tree.right[node] = leaf(rows.compress(~rows_left))
+            return node
+        (order_l, ranks_l), (order_r, ranks_r) = ctx.partition(order, ranks, go_left)
         tree.left[node] = grow(order_l, ranks_l, level + 1)
         tree.right[node] = grow(order_r, ranks_r, level + 1)
         return node
 
-    grow(ctx.sorted_idx, ctx.sorted_rank, 0)
+    grow(ctx.order, ctx.ranks, 0)
     return tree, reached
 
 
@@ -285,6 +310,9 @@ def train_gb(train, val, spec: ModelSpec) -> GradientBoostingModel:
             "rounds_trained": len(trees),
             "rounds_kept": best_rounds,
             "val_loss": val_losses[best_rounds],
+            # the boosting counterpart of logistic `converged`: validation
+            # loss was still at its best when the round budget ran out
+            "best_at_cap": best_rounds == spec.max_rounds,
         },
     )
     return GradientBoostingModel(

@@ -8,7 +8,12 @@ import warnings
 import numpy as np
 
 from . import heatmaps, seg_metrics, segmentation, tracking
-from .dataset import MetaRecordTable, build_time_series, for_each_csv_row
+from .dataset import (
+    MetaRecordTable,
+    build_time_series,
+    check_finite_columns,
+    for_each_csv_row,
+)
 from .seg_metrics import SegmentFeatures, feature_names
 from .tensor_io import StreamManifest
 
@@ -150,6 +155,7 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
     """Inverse of write_feature_csv; returns rows grouped by frame."""
     names = feature_names(num_classes, num_stability)
     rows_by_frame: dict[int, list[SegmentFeatures]] = {}
+    feature_rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -160,6 +166,7 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
 
         def read_row(record):
             features = np.array([float(v) for v in record[5:]])
+            feature_rows.append(features)
             row = SegmentFeatures(
                 frame_index=int(record[0]),
                 component_index=int(record[1]),
@@ -175,6 +182,8 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
             rows_by_frame.setdefault(row.frame_index, []).append(row)
 
         for_each_csv_row(reader, path, len(header), read_row)
+    # iou_adj may be NaN (no ground truth); the features may not
+    check_finite_columns(np.reshape(feature_rows, (-1, len(names))), path, names)
     if not rows_by_frame:
         return []
     last = max(rows_by_frame)

@@ -205,6 +205,78 @@ def tree_apply(tree, X):
     return np.array(out)
 
 
+def _sorted_rows(X, rows, feature):
+    """The node's rows by (value, row index): the stable sort of the column."""
+    return sorted(rows, key=lambda r: (X[r, feature], r))
+
+
+def best_split(X, rows, grad, min_leaf):
+    """Exact best split of a node's rows by a loop over every candidate.
+
+    Returns (feature, threshold) or None.  Each feature's prefix sums run in
+    that feature's sorted order; `total` is the sum in feature 0's order.  A
+    candidate leaves at least `min_leaf` rows on each side and falls between
+    distinct adjacent values.  The best is the largest score, then the
+    smallest sorted position, then the smallest feature index; it is kept
+    only if its score beats total^2 / n.
+    """
+    n = len(rows)
+    if n < 2 * min_leaf:
+        return None
+    total = 0.0
+    for r in _sorted_rows(X, rows, 0):
+        total += grad[r]
+    best = None  # (score, pos, feature, threshold)
+    for feature in range(X.shape[1]):
+        ordered = _sorted_rows(X, rows, feature)
+        left = 0.0
+        for pos in range(n - 1):
+            left += grad[ordered[pos]]
+            value, after = X[ordered[pos], feature], X[ordered[pos + 1], feature]
+            if pos + 1 < min_leaf or n - pos - 1 < min_leaf or value == after:
+                continue
+            right = total - left
+            score = left * left / (pos + 1) + right * right / (n - pos - 1)
+            if (
+                best is None
+                or score > best[0]
+                or (score == best[0] and (pos, feature) < best[1:3])
+            ):
+                best = (score, pos, feature, float(value))
+    if best is None or best[0] - total**2 / n <= 0:
+        return None
+    return best[2], best[3]
+
+
+def grow_tree(X, grad, hess, depth, min_leaf):
+    """Tree dict grown node by node (preorder) with `best_split`.
+
+    A leaf's value is its gradient sum over its hessian sum (0 below 1e-12),
+    both summed in feature 0's sorted order.
+    """
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def grow(rows, level):
+        node = len(tree["feature"])
+        for key, empty in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                           ("right", -1), ("value", 0.0)):
+            tree[key].append(empty)
+        split = best_split(X, rows, grad, min_leaf) if level < depth else None
+        if split is None:
+            ordered = _sorted_rows(X, rows, 0)
+            denom = hess[ordered].sum()
+            tree["value"][node] = 0.0 if denom < 1e-12 else float(grad[ordered].sum() / denom)
+            return node
+        feature, threshold = split
+        tree["feature"][node], tree["threshold"][node] = feature, threshold
+        tree["left"][node] = grow([r for r in rows if X[r, feature] <= threshold], level + 1)
+        tree["right"][node] = grow([r for r in rows if X[r, feature] > threshold], level + 1)
+        return node
+
+    grow(list(range(len(X))), 0)
+    return tree
+
+
 def logistic_ridge_minimizer(X, y, ridge):
     """Weights and intercept minimizing mean logistic loss + ridge/2 ||w||^2.
 

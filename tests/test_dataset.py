@@ -253,3 +253,25 @@ def test_read_dataset_names_a_renamed_column(tmp_path):
     csv_path.write_text(text.replace("iou_adj", "iou", 1))
     with pytest.raises(ValueError, match="column 3 is 'iou', expected 'iou_adj'"):
         read_dataset(csv_path, header_path)
+
+
+@pytest.mark.parametrize(
+    "column, value", [("t0_size", "nan"), ("t1_varratio_mean", "inf"), ("iou_adj", "nan")]
+)
+def test_read_dataset_rejects_a_non_finite_value(tmp_path, column, value):
+    # one NaN feature used to pass silently, and standardizing mapped its whole
+    # column to 0
+    rows = [[_row(t, 0, 0, 0.5)] for t in range(3)]
+    table = build_time_series(rows, history=1, num_classes=3, num_stability=2)
+    csv_path = tmp_path / "data.csv"
+    header_path = tmp_path / "data.json"
+    write_dataset(table, csv_path, header_path)
+    lines = csv_path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(fields)
+    csv_path.write_text("\n".join(lines) + "\n")
+    message = f"{csv_path}, line 3: {column} is {value}, not a finite number"
+    with pytest.raises(ValueError) as err:
+        read_dataset(csv_path, header_path)
+    assert str(err.value) == message

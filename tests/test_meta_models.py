@@ -18,7 +18,7 @@ from segquality.meta_models import (
     train_model,
     train_nn,
 )
-from segquality.meta_models.boosting import _Tree
+from segquality.meta_models.boosting import _fit_tree, _SplitContext, _Tree
 from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore, _sigmoid_
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -168,12 +168,8 @@ def test_logistic_single_class_labels_give_finite_weights(label):
 # ---------------------------------------------------------------- boosting
 
 
-def _gb_seeded_fits():
-    """Both GB tasks on a seeded table with tied values, as plain JSON data."""
-    rng = np.random.default_rng(30)
-    x = rng.standard_normal((200, 5))
-    x[:, :2] = np.round(x[:, :2], 1)  # ties exercise the distinct-value rule
-    signal = x[:, 0] + x[:, 1] * x[:, 2] + 0.5 * rng.standard_normal(200)
+def _gb_seeded_fits(x, signal):
+    """Both GB tasks on a seeded 200-row table, as plain JSON data."""
     targets = {
         "classification": (signal > 0).astype(float),
         "regression": expit(signal),
@@ -194,12 +190,72 @@ def _gb_seeded_fits():
     return json.loads(json.dumps(fits))
 
 
+def _gb_recorded(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_gb_fits_equal_recorded_models():
     # recorded with the tree code that re-applied every tree to the training
     # rows and carried float64 values through the partitions
-    with open(os.path.join(DATA, "gb_models_seed30.json"), encoding="utf-8") as fh:
-        recorded = json.load(fh)
-    assert _gb_seeded_fits() == recorded
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((200, 5))
+    x[:, :2] = np.round(x[:, :2], 1)  # ties exercise the distinct-value rule
+    signal = x[:, 0] + x[:, 1] * x[:, 2] + 0.5 * rng.standard_normal(200)
+    assert _gb_seeded_fits(x, signal) == _gb_recorded("gb_models_seed30.json")
+
+
+def _gb_dedup_table(seed, n):
+    """Seeded table whose columns tie, repeat, stay constant or take 0/1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 9))
+    x[:, 1] = np.round(x[:, 1], 1)  # ties
+    x[:, 2] = 4.0 * x[:, 0]  # column 0's sorted order, no ties
+    x[:, 3] = 0.5  # constant
+    x[:, 4] = x[:, 5] > 0  # 0/1
+    x[:, 6] = x[:, 1]  # duplicate of a tied column
+    x[:, 7] = np.round(x[:, 7])  # few distinct values
+    x[:, 8] = np.argsort(np.argsort(x[:, 1], kind="stable"))  # column 1's order, no ties
+    signal = x[:, 0] + x[:, 1] * x[:, 5] - x[:, 7] + 0.5 * rng.standard_normal(n)
+    return x, signal
+
+
+def test_gb_fits_with_duplicate_columns_equal_recorded_models():
+    # recorded with the tree code that searched every column in row-major
+    # (position, feature) layout and partitioned down to the leaves
+    fits = _gb_seeded_fits(*_gb_dedup_table(31, 200))
+    assert fits == _gb_recorded("gb_models_seed31.json")
+
+
+@pytest.mark.parametrize("max_rounds, at_cap", [(5, True), (200, False)])
+def test_gb_best_at_cap_marks_a_fit_still_improving_at_max_rounds(max_rounds, at_cap):
+    x, signal = _gb_dedup_table(31, 200)
+    y = (signal > 0).astype(float)
+    spec = ModelSpec("gradient_boosting", "classification", max_rounds=max_rounds)
+    model = train_gb((x[:160], y[:160]), (x[160:], y[160:]), spec)
+    assert model.metadata["rounds_trained"] == max_rounds
+    assert model.metadata["best_at_cap"] is at_cap
+    assert (model.metadata["rounds_kept"] == max_rounds) is at_cap
+
+
+@pytest.mark.parametrize("depth", [1, 3, 4])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_fit_tree_matches_brute_force_split_search(depth, min_leaf):
+    for seed in range(3):
+        x, signal = _gb_dedup_table(seed, 60)
+        ctx = _SplitContext(x, min_leaf)
+        assert sorted(ctx.features) == [0, 1, 3, 4, 5, 7, 8]  # 2 and 6 repeat 0 and 1
+        rng = np.random.default_rng(100 + seed)
+        gradients = [
+            # a balanced first logistic round: many splits tie exactly
+            ((signal > 0) - 0.5, np.full(len(x), 0.25)),
+            (rng.standard_normal(len(x)), np.ones(len(x))),
+        ]
+        for grad, hess in gradients:
+            tree, reached = _fit_tree(ctx, grad, hess, depth)
+            expected = oracles.grow_tree(x, grad, hess, depth, min_leaf)
+            assert tree.to_dict() == expected
+            assert np.array_equal(reached, oracles.tree_apply(expected, x))
 
 
 def test_tree_apply_matches_per_node_walk():

@@ -90,6 +90,26 @@ def test_feature_csv_round_trip(small_stream, tmp_path):
             assert np.array_equal(a.features, b.features)
 
 
+def test_read_feature_csv_rejects_a_non_finite_feature(small_stream, tmp_path):
+    rows_by_frame, _ = process_stream(small_stream, 2, params=TrackingParams())
+    path = tmp_path / "features.csv"
+    write_feature_csv(rows_by_frame, path, small_stream.num_classes, 2)
+    lines = path.read_text().splitlines()
+    columns = lines[0].split(",")
+    fields = lines[3].split(",")
+    fields[columns.index("iou_adj")] = "nan"  # no ground truth: still legal
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    back = read_feature_csv(path, small_stream.num_classes, 2)
+    assert np.isnan(back[0][2].iou_adj)
+    fields[columns.index("entropy_mean")] = "-inf"
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_feature_csv(path, small_stream.num_classes, 2)
+    assert str(err.value) == f"{path}, line 4: entropy_mean is -inf, not a finite number"
+
+
 def test_tracking_csv_round_trip_and_apply(small_stream, tmp_path):
     rows_by_frame, assignments = process_stream(
         small_stream, 0, params=TrackingParams()
