@@ -182,6 +182,7 @@ def dataset_cmd(
     if not tracking_path and history > 0:
         _fail("--tracking is required when --history > 0")
     try:
+        # called by this name: perfbench/tracing.py times cli.assemble_dataset
         table = assemble_dataset(rows_by_frame, history, num_classes, num_stability)
     except ValueError as exc:
         _fail(str(exc))

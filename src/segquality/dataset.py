@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import operator
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seg_metrics import SegmentFeatures, feature_count, feature_names
+from .seg_metrics import FeatureRows, feature_count, feature_names
 
 MAX_HISTORY = 10
 
@@ -78,7 +81,7 @@ def check_history(history: int) -> None:
 
 
 def build_time_series(
-    rows_by_frame: list[list[SegmentFeatures]],
+    rows_by_frame: list[FeatureRows],
     history: int,
     num_classes: int,
     num_stability: int,
@@ -91,62 +94,64 @@ def build_time_series(
     acts as the track's representative.
     """
     check_history(history)
+    for rows in rows_by_frame:
+        if not 0 <= num_stability <= rows.num_stability:
+            raise ValueError(
+                f"num_stability must be in [0, {rows.num_stability}], "
+                f"got {num_stability}"
+            )
     dim = feature_count(num_classes, num_stability)
-    by_track: dict[tuple[int, int], SegmentFeatures] = {}
-    for rows in rows_by_frame:
-        for row in rows:
-            if row.track_id < 0:
-                continue
-            key = (row.track_id, row.frame_index)
-            best = by_track.get(key)
-            if best is None or (-row.size, row.component_index) < (
-                -best.size,
-                best.component_index,
-            ):
-                by_track[key] = row
-
-    frames, components, track_ids, feats, masks, ious = [], [], [], [], [], []
-    for rows in rows_by_frame:
-        for row in rows:
-            if not row.has_interior:
-                continue
-            frames.append(row.frame_index)
-            components.append(row.component_index)
-            track_ids.append(row.track_id)
-            slot_feats = np.zeros((history + 1, dim))
-            slot_mask = np.zeros(history + 1)
-            slot_feats[0] = row.vector(num_stability)
-            slot_mask[0] = 1.0
-            for back in range(1, history + 1):
-                if row.track_id < 0:
-                    break
-                past = by_track.get((row.track_id, row.frame_index - back))
-                if past is not None:
-                    slot_feats[back] = past.vector(num_stability)
-                    slot_mask[back] = 1.0
-            feats.append(slot_feats)
-            masks.append(slot_mask)
-            ious.append(row.iou_adj)
-
-    missing = int(np.isnan(ious).sum())
+    # the stream's rows in stream order; a leading empty block sets each shape
+    blocks = [(np.zeros((0, 4), np.int64), np.zeros(0), np.zeros((0, dim)))]
+    blocks += [(r.ids(), r.iou, r.features[:, :dim]) for r in rows_by_frame]
+    ids, iou, vectors = (np.concatenate(column) for column in zip(*blocks))
+    frames, components, tracks = ids[:, 0], ids[:, 1], ids[:, 3]
+    # feature columns 0-1 are the sizes; a record needs a non-empty interior
+    records = np.flatnonzero(vectors[:, 1] > 0)
+    missing = int(np.isnan(iou[records]).sum())
     if missing:
         raise ValueError(
             f"{missing} records have no quality target (iou_adj is NaN): "
             "features extracted with --no-gt cannot build a dataset"
         )
-    n = len(frames)
+    # One representative per (track, frame): sorted by track, frame, size
+    # descending and component, the first row of each (track, frame) run.
+    tracked = np.flatnonzero(tracks >= 0)
+    sort_keys = components, -vectors[:, 0], frames, tracks
+    order = tracked[np.lexsort([key[tracked] for key in sort_keys])]
+    # (track, frame) as one int64 key: frame - s for s <= history stays in
+    # [base, base + span), and untracked rows (track < 0) get negative keys.
+    base = int(frames.min(initial=0)) - history
+    span = int(frames.max(initial=0)) - base + 1
+    if (int(tracks.max(initial=0)) + 1) * span > np.iinfo(np.int64).max:
+        raise ValueError("track ids and frame indices too large for int64 join keys")
+    keys = tracks[order] * span + (frames[order] - base)
+    first = np.diff(keys, prepend=-1) != 0
+    # a sentinel above every query keeps each search position in range
+    keys = np.append(keys[first], np.iinfo(np.int64).max)
+    representatives = order[first]
+
+    n = len(records)
+    features = np.zeros((n, history + 1, dim))
+    mask = np.zeros((n, history + 1))
+    features[:, 0] = vectors[records]
+    mask[:, 0] = 1.0
+    queries = np.maximum(tracks[records], -1) * span + (frames[records] - base)
+    for back in range(1, history + 1):
+        pos = np.searchsorted(keys, queries - back)
+        found = keys[pos] == queries - back
+        features[found, back] = vectors[representatives[pos[found]]]
+        mask[found, back] = 1.0
     return MetaRecordTable(
         num_classes=num_classes,
         num_stability=num_stability,
         history=history,
-        frames=np.array(frames, dtype=np.int64),
-        components=np.array(components, dtype=np.int64),
-        track_ids=np.array(track_ids, dtype=np.int64),
-        features=(
-            np.stack(feats) if n else np.zeros((0, history + 1, dim))
-        ),
-        mask=np.stack(masks) if n else np.zeros((0, history + 1)),
-        iou=np.array(ious, dtype=np.float64),
+        frames=frames[records],
+        components=components[records],
+        track_ids=tracks[records],
+        features=features,
+        mask=mask,
+        iou=iou[records],
     )
 
 
@@ -214,31 +219,109 @@ def _dataset_columns(num_classes: int, num_stability: int, history: int) -> list
 
 
 def _column_mismatch(got: list, expected: list) -> str:
-    if len(got) != len(expected):
-        return f"{len(got)} columns, expected {len(expected)}"
-    i = next(i for i, (a, b) in enumerate(zip(got, expected)) if a != b)
-    return f"column {i} is {got[i]!r}, expected {expected[i]!r}"
+    """The column counts if they differ, then the first column that does."""
+    pairs = enumerate(itertools.zip_longest(got, expected))
+    i = next(i for i, (a, b) in pairs if a != b)
+    found, wanted = (repr(c[i]) if i < len(c) else "none" for c in (got, expected))
+    column = f"column {i} is {found}, expected {wanted}"
+    if len(got) == len(expected):
+        return column
+    return f"{len(got)} columns, expected {len(expected)}; {column}"
 
 
-def for_each_csv_row(reader, path, width: int, read_row) -> None:
-    """Call `read_row(row)` on every row left in a csv reader.
+def write_csv(path, columns, chunks) -> None:
+    """Write a CSV of a header row and one row per record.
 
-    A row without `width` fields, or one `read_row` rejects with a ValueError,
-    raises a ValueError that names the file and the line.
+    Each chunk is a list of row-aligned (n,) or (n, k) arrays that holds the
+    next n rows; only one chunk at a time is turned into Python values.  Each
+    value is written as `str` of its Python value, so integers as digits and
+    floats as their shortest round-trip repr.  Rows end in CRLF, like
+    `csv.writer`.
     """
-    for row in reader:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\r\n")
+        for blocks in chunks:
+            parts = [(b[:, None] if b.ndim == 1 else b).tolist() for b in blocks]
+            fh.writelines(
+                ",".join(map(str, itertools.chain.from_iterable(row))) + "\r\n"
+                for row in zip(*parts)
+            )
+
+
+def _check_keys(path, frames, components) -> None:
+    """Reject the first row with a negative frame or component, or with the
+    (frame, component) pair of an earlier row."""
+    negative = np.flatnonzero((frames < 0) | (components < 0))
+    if len(negative):
+        i = negative[0]
+        name = "frame" if frames[i] < 0 else "component"
+        value = frames[i] if frames[i] < 0 else components[i]
+        raise ValueError(f"{path}, line {i + 2}: {name} is {value}, not >= 0")
+    # a stable sort keeps repeats of a pair adjacent, in file order
+    order = np.lexsort((components, frames))
+    repeat = (np.diff(frames[order]) == 0) & (np.diff(components[order]) == 0)
+    if repeat.any():
+        later, earlier = order[1:][repeat], order[:-1][repeat]
+        j = later.argmin()
+        raise ValueError(
+            f"{path}, line {later[j] + 2}: frame {frames[later[j]]}, component "
+            f"{components[later[j]]} repeats line {earlier[j] + 2}"
+        )
+
+
+def read_csv(path, columns, int_width: int, header_error):
+    """Read a CSV of a header row and one row per segment or record.
+
+    The header must equal `columns`, else `header_error(mismatch)` gives the
+    message, `mismatch` naming the first column that differs.  Returns the
+    first `int_width` columns as (n, int_width) int64 and the rest as
+    float64.  Columns 0-1 are a frame and a component: each pair must be
+    non-negative and unique.  A row with the wrong field count, or a value
+    `int()` (first columns) or `float()` (the rest) rejects, raises a
+    ValueError naming the file and the line.
+    """
+    width = len(columns)
+    dtype = [("ints", np.int64, int_width), ("floats", np.float64, width - int_width)]
+    with open(path, "r", encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if header != list(columns):
+            raise ValueError(header_error(_column_mismatch(header, list(columns))))
+        # count the lines as loadtxt streams them, without holding them
+        counter = itertools.count()
+        lines = map(operator.itemgetter(0), zip(fh, counter))
         try:
-            if len(row) != width:
-                raise ValueError(f"{len(row)} fields, expected {width}")
-            read_row(row)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            with warnings.catch_warnings():  # loadtxt warns on no lines
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, OverflowError):
+            table = None
+    if table is None or len(table) != next(counter):  # loadtxt skips blank lines
+        _raise_bad_line(path, [int] * int_width + [float] * (width - int_width))
+    _check_keys(path, table["ints"][:, 0], table["ints"][:, 1])
+    return table["ints"], table["floats"]
+
+
+def _raise_bad_line(path, parsers) -> None:
+    """Parse a CSV's rows one by one, one parser per field, to name the line
+    that the fast parse rejected."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # the header
+        for row in reader:
+            try:
+                if len(row) != len(parsers):
+                    raise ValueError(f"{len(row)} fields, expected {len(parsers)}")
+                for parse, value in zip(parsers, row):
+                    parse(value)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    raise ValueError(f"{path}: rows must be plain comma-separated numbers")
 
 
 def check_finite_columns(values: np.ndarray, path, names) -> None:
     """Reject the first non-finite entry of the (rows, columns) values read
     from a CSV of one header line and one line per row, naming its file, line
-    and column in the message `for_each_csv_row` gives."""
+    and column in the message `read_csv` gives."""
     finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -250,22 +333,18 @@ def check_finite_columns(values: np.ndarray, path, names) -> None:
 
 def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
     """Serialize a record table as CSV (one row per record) plus a JSON header."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            _dataset_columns(table.num_classes, table.num_stability, table.history)
-        )
-        for i in range(len(table)):
-            row = [
-                int(table.frames[i]),
-                int(table.components[i]),
-                int(table.track_ids[i]),
-                repr(float(table.iou[i])),
-            ]
-            row += [int(v) for v in table.mask[i]]
-            for s in range(table.history + 1):
-                row += [repr(float(v)) for v in table.features[i, s]]
-            writer.writerow(row)
+    blocks = [
+        np.stack([table.frames, table.components, table.track_ids], axis=1),
+        table.iou,
+        table.mask.astype(np.int64),
+        table.features.reshape(len(table), -1),
+    ]
+    write_csv(
+        csv_path,
+        _dataset_columns(table.num_classes, table.num_stability, table.history),
+        # 32 rows at a time: a T = 10 row holds about a thousand values
+        ([b[i : i + 32] for b in blocks] for i in range(0, len(table), 32)),
+    )
     if header_path is not None:
         with open(header_path, "w", encoding="utf-8") as fh:
             json.dump(dataset_header(table), fh, indent=2, sort_keys=True)
@@ -291,47 +370,27 @@ def read_dataset(csv_path, header_path) -> MetaRecordTable:
     num_classes = header["num_classes"]
     num_stability = header["num_stability"]
     history = header["history"]
-    dim = feature_count(num_classes, num_stability)
-    frames, components, track_ids, ious, masks, feats = [], [], [], [], [], []
     expected = _dataset_columns(num_classes, num_stability, history)
-    with open(csv_path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader, [])
-        if columns != expected:
-            raise ValueError(
-                f"{csv_path} does not match its header {header_path} "
-                f"(classes={num_classes}, m={num_stability}, history={history}): "
-                + _column_mismatch(columns, expected)
-            )
-
-        def read_row(row):
-            frames.append(int(row[0]))
-            components.append(int(row[1]))
-            track_ids.append(int(row[2]))
-            ious.append(float(row[3]))
-            base = 4
-            masks.append([float(v) for v in row[base : base + history + 1]])
-            base += history + 1
-            values = np.array([float(v) for v in row[base:]])
-            feats.append(values.reshape(history + 1, dim))
-
-        for_each_csv_row(reader, csv_path, len(expected), read_row)
-    n = len(frames)
-    features = np.stack(feats) if n else np.zeros((0, history + 1, dim))
-    mask = np.array(masks) if n else np.zeros((0, history + 1))
-    iou = np.array(ious, dtype=np.float64)
+    ids, values = read_csv(
+        csv_path,
+        expected,
+        3,
+        lambda mismatch: (
+            f"{csv_path} does not match its header {header_path} "
+            f"(classes={num_classes}, m={num_stability}, history={history}): {mismatch}"
+        ),
+    )
     # iou_adj, masks and features: every value a model reads
-    blocks = ((iou[:, None], 3), (mask, 4), (features.reshape(n, -1), 5 + history))
-    for block, first in blocks:
-        check_finite_columns(block, csv_path, expected[first:])
+    check_finite_columns(values, csv_path, expected[3:])
+    dim = feature_count(num_classes, num_stability)
     return MetaRecordTable(
         num_classes=num_classes,
         num_stability=num_stability,
         history=history,
-        frames=np.array(frames, dtype=np.int64),
-        components=np.array(components, dtype=np.int64),
-        track_ids=np.array(track_ids, dtype=np.int64),
-        features=features,
-        mask=mask,
-        iou=iou,
+        frames=ids[:, 0].copy(),
+        components=ids[:, 1].copy(),
+        track_ids=ids[:, 2].copy(),
+        features=values[:, history + 2 :].reshape(len(ids), history + 1, dim).copy(),
+        mask=values[:, 1 : history + 2].copy(),
+        iou=values[:, 0].copy(),
     )

@@ -33,11 +33,6 @@ def _class_major(probs, tol: float = SOFTMAX_TOL) -> np.ndarray:
     return p
 
 
-def validate_softmax(probs: np.ndarray, tol: float = SOFTMAX_TOL) -> None:
-    """Check that a (H, W, c) tensor is a per-pixel probability distribution."""
-    _class_major(probs, tol)
-
-
 def predicted_labels(probs: np.ndarray) -> np.ndarray:
     """Per-pixel argmax class, ties broken by the lowest class index."""
     return np.argmax(np.asarray(probs), axis=2).astype(np.int32)
@@ -67,25 +62,13 @@ def dispersion_heatmaps(probs: np.ndarray) -> np.ndarray:
     return out.reshape((3,) + np.shape(probs)[:2])
 
 
-def mean_cell_state(raw_block_state: np.ndarray) -> np.ndarray:
-    """Reduce a (H, W, F) per-block feature tensor to its per-pixel mean."""
-    raw = np.asarray(raw_block_state, dtype=np.float64)
-    if raw.ndim != 3 or raw.shape[2] < 1:
-        raise ValueError("raw block state must have shape (H, W, F) with F >= 1")
-    return raw.mean(axis=2)
+def build_cell_state_stack(blocks: np.ndarray) -> np.ndarray:
+    """Validate a (H, W, l) stack of per-block mean states.
 
-
-def build_cell_state_stack(blocks) -> np.ndarray:
-    """Build a (H, W, l) stack of per-block mean states.
-
-    Accepts either an already reduced (H, W, l) tensor or a sequence of raw
-    (H, W, F) per-block tensors; both produce the same stack.  The stack is a
-    view of a blocks-first (l, H, W) array, so each block's map is contiguous.
+    Returns a float64 (H, W, l) view of a blocks-first (l, H, W) array, so
+    each block's map is contiguous.
     """
-    if isinstance(blocks, np.ndarray) and blocks.ndim == 3:
-        by_block = np.moveaxis(blocks, 2, 0).astype(np.float64, order="C")
-    else:
-        by_block = np.stack([mean_cell_state(b) for b in blocks])
+    by_block = np.moveaxis(blocks, 2, 0).astype(np.float64, order="C")
     if len(by_block) < 2:
         raise ValueError(f"cell state stack needs >= 2 blocks, got {len(by_block)}")
     if not np.isfinite(by_block).all():

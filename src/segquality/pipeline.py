@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-import csv
 import warnings
 
 import numpy as np
 
 from . import heatmaps, seg_metrics, segmentation, tracking
 from .dataset import (
-    MetaRecordTable,
     build_time_series,
     check_finite_columns,
-    for_each_csv_row,
+    read_csv,
+    write_csv,
 )
-from .seg_metrics import SegmentFeatures, feature_names
+from .seg_metrics import FeatureRows, feature_names
 from .tensor_io import StreamManifest
 
 
@@ -24,7 +23,7 @@ def extract_frame(
     gt_labels: np.ndarray | None,
     frame_index: int,
     num_stability: int,
-) -> tuple[segmentation.FrameSegments, list[SegmentFeatures]]:
+) -> tuple[segmentation.FrameSegments, FeatureRows]:
     """Segments and feature rows for one frame.
 
     `num_stability` selects how many stability heatmaps go into the canonical
@@ -50,24 +49,16 @@ def extract_frame(
         )
     else:
         ious = np.full(len(segments), np.nan)
-    # feature columns 0-1 are the exact pixel counts size and size_in
-    sizes = features[:, :2].astype(np.int64).tolist()
-    rows = [
-        SegmentFeatures(
-            frame_index=frame_index,
-            component_index=index,
-            class_id=class_id,
-            size=size,
-            size_inner=size_inner,
-            iou_adj=float(iou),
-            features=vector,
-            num_classes=softmax.shape[2],
-            num_stability=num_stability,
-        )
-        for index, (class_id, (size, size_inner), vector, iou) in enumerate(
-            zip(segments.classes.tolist(), sizes, features, ious)
-        )
-    ]
+    n = len(segments)
+    rows = FeatureRows(
+        frame_index=frame_index,
+        num_stability=num_stability,
+        components=np.arange(n, dtype=np.int64),
+        classes=segments.classes.astype(np.int64),
+        track_ids=np.full(n, -1, dtype=np.int64),
+        iou=ious,
+        features=features,
+    )
     return segments, rows
 
 
@@ -104,9 +95,8 @@ def process_stream(
             assignments = tracking.track_frame(
                 state, segments, frame_index, params, shape
             )
-            by_component = {a.component_index: a.track_id for a in assignments}
-            for row in rows:
-                row.track_id = by_component[row.component_index]
+            # one assignment per component, in component order
+            rows.track_ids[:] = [a.track_id for a in assignments]
             assignments_by_frame.append(assignments)
         rows_by_frame.append(rows)
     return rows_by_frame, assignments_by_frame
@@ -119,13 +109,8 @@ def stream_segments(manifest: StreamManifest):
         yield segmentation.connected_components(labels)
 
 
-def assemble_dataset(
-    rows_by_frame: list[list[SegmentFeatures]],
-    history: int,
-    num_classes: int,
-    num_stability: int,
-) -> MetaRecordTable:
-    return build_time_series(rows_by_frame, history, num_classes, num_stability)
+# Kept by name only: perfbench/tracing.py wraps `cli.assemble_dataset`.
+assemble_dataset = build_time_series
 
 
 FEATURE_CSV_META = ("frame", "component", "class", "track_id", "iou_adj")
@@ -133,111 +118,79 @@ FEATURE_CSV_META = ("frame", "component", "class", "track_id", "iou_adj")
 
 def write_feature_csv(rows_by_frame, path, num_classes: int, num_stability: int):
     """Per-segment feature table in canonical column order."""
-    names = feature_names(num_classes, num_stability)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_CSV_META) + names)
-        for rows in rows_by_frame:
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.frame_index,
-                        row.component_index,
-                        row.class_id,
-                        row.track_id,
-                        repr(float(row.iou_adj)),
-                    ]
-                    + [repr(float(v)) for v in row.features]
-                )
+    columns = list(FEATURE_CSV_META) + feature_names(num_classes, num_stability)
+    write_csv(path, columns, ([r.ids(), r.iou, r.features] for r in rows_by_frame))
 
 
 def read_feature_csv(path, num_classes: int, num_stability: int):
-    """Inverse of write_feature_csv; returns rows grouped by frame."""
+    """Inverse of write_feature_csv; returns rows grouped by frame, with an
+    empty record for every frame before the last that has no rows."""
     names = feature_names(num_classes, num_stability)
-    rows_by_frame: dict[int, list[SegmentFeatures]] = {}
-    feature_rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(FEATURE_CSV_META) + names:
-            raise ValueError(f"{path}: unexpected feature CSV header")
-        size_idx = 5 + names.index("size")
-        size_in_idx = 5 + names.index("size_in")
-
-        def read_row(record):
-            features = np.array([float(v) for v in record[5:]])
-            feature_rows.append(features)
-            row = SegmentFeatures(
-                frame_index=int(record[0]),
-                component_index=int(record[1]),
-                class_id=int(record[2]),
-                size=int(float(record[size_idx])),
-                size_inner=int(float(record[size_in_idx])),
-                iou_adj=float(record[4]),
-                features=features,
-                num_classes=num_classes,
-                num_stability=num_stability,
-                track_id=int(record[3]),
-            )
-            rows_by_frame.setdefault(row.frame_index, []).append(row)
-
-        for_each_csv_row(reader, path, len(header), read_row)
+    columns = list(FEATURE_CSV_META) + names
+    context = f"{path}: unexpected feature CSV header for classes={num_classes}"
+    ids, values = read_csv(
+        path, columns, 4, lambda mismatch: f"{context}, m={num_stability}: {mismatch}"
+    )
     # iou_adj may be NaN (no ground truth); the features may not
-    check_finite_columns(np.reshape(feature_rows, (-1, len(names))), path, names)
-    if not rows_by_frame:
-        return []
-    last = max(rows_by_frame)
-    return [rows_by_frame.get(i, []) for i in range(last + 1)]
+    check_finite_columns(values[:, 1:], path, names)
+    frames = ids[:, 0]
+    # grouped by frame 0, 1, ... last, each frame's rows in file order
+    order = np.argsort(frames, kind="stable")
+    last = frames.max(initial=-1)
+    groups = np.split(order, np.searchsorted(frames[order], np.arange(1, last + 1)))
+    return [
+        FeatureRows(
+            frame_index=frame,
+            num_stability=num_stability,
+            components=ids[rows, 1],
+            classes=ids[rows, 2],
+            track_ids=ids[rows, 3],
+            iou=values[rows, 0],
+            features=values[rows, 1:],
+        )
+        for frame, rows in enumerate(groups[: last + 1])
+    ]
 
 
 TRACKING_CSV_COLUMNS = ("frame", "component", "track_id", "matched_step")
 
 
 def write_tracking_csv(assignments_by_frame, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACKING_CSV_COLUMNS)
-        for assignments in assignments_by_frame:
-            for a in assignments:
-                writer.writerow(
-                    [a.frame_index, a.component_index, a.track_id, a.matched_step]
-                )
+    def table(assignments):
+        rows = [
+            (a.frame_index, a.component_index, a.track_id, a.matched_step)
+            for a in assignments
+        ]
+        return [np.array(rows, np.int64).reshape(-1, 4)]
+
+    write_csv(path, TRACKING_CSV_COLUMNS, map(table, assignments_by_frame))
 
 
 def read_tracking_csv(path):
-    """Track/step lookup keyed by (frame, component)."""
-    table = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRACKING_CSV_COLUMNS):
-            raise ValueError(
-                f"{path}: not a tracking CSV, its columns must be "
-                f"{', '.join(TRACKING_CSV_COLUMNS)}"
-            )
-
-        def read_row(row):
-            frame, component, track_id, step = (int(v) for v in row)
-            table[(frame, component)] = (track_id, step)
-
-        for_each_csv_row(reader, path, len(header), read_row)
-    return table
+    """The tracking CSV's rows as an (n, 4) int64 array: frame, component,
+    track id and matched step."""
+    columns = ", ".join(TRACKING_CSV_COLUMNS)
+    message = f"{path}: not a tracking CSV, its columns must be {columns}"
+    return read_csv(path, TRACKING_CSV_COLUMNS, 4, lambda mismatch: message)[0]
 
 
 def apply_tracking(rows_by_frame, track_table) -> None:
-    """Fill track ids from a tracking CSV lookup into feature rows.
+    """Fill track ids from `read_tracking_csv`'s table into feature rows.
 
-    Rows the lookup does not cover keep the track id they had (-1 unless
+    Rows the table does not cover keep the track id they had (-1 unless
     tracked before); a warning gives their count.
     """
+    order = np.lexsort((track_table[:, 1], track_table[:, 0]))
+    frames, components, track_ids = track_table[order, :3].T
     missing = 0
     for rows in rows_by_frame:
-        for row in rows:
-            entry = track_table.get((row.frame_index, row.component_index))
-            if entry is not None:
-                row.track_id = entry[0]
-            else:
-                missing += 1
+        # the frame's table rows, in component order
+        lo, hi = np.searchsorted(frames, [rows.frame_index, rows.frame_index + 1])
+        pos = lo + np.searchsorted(components[lo:hi], rows.components)
+        found = pos < hi
+        found[found] = components[pos[found]] == rows.components[found]
+        rows.track_ids[found] = track_ids[pos[found]]
+        missing += len(rows) - np.count_nonzero(found)
     if missing:
         warnings.warn(
             f"{missing} feature rows have no entry in the tracking CSV and "
@@ -255,22 +208,12 @@ _CENTER_ROW = feature_names(0, 0).index("center_row")
 
 def write_segment_csv(rows_by_frame, path):
     """Exportable segment table (sizes, centers, track ids) from feature rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEGMENT_CSV_COLUMNS)
-        for rows in rows_by_frame:
-            for row in rows:
-                center = row.features[_CENTER_ROW : _CENTER_ROW + 2]
-                writer.writerow(
-                    [
-                        row.frame_index,
-                        row.component_index,
-                        row.class_id,
-                        row.size,
-                        row.size_inner,
-                        row.size - row.size_inner,
-                        repr(float(center[0])),
-                        repr(float(center[1])),
-                        row.track_id,
-                    ]
-                )
+
+    def blocks(rows):
+        ids = rows.ids()
+        # feature columns 0-1 are the exact pixel counts size and size_in
+        sizes = rows.features[:, :2].astype(np.int64)
+        centers = rows.features[:, _CENTER_ROW : _CENTER_ROW + 2]
+        return [ids[:, :3], sizes, sizes[:, :1] - sizes[:, 1:], centers, ids[:, 3]]
+
+    write_csv(path, SEGMENT_CSV_COLUMNS, map(blocks, rows_by_frame))

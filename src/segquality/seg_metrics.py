@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,7 @@ def frame_features(
     )
 
 
+# Kept by name only: perfbench/tracing.py wraps it.
 def assemble_features(
     segments: FrameSegments,
     index: int,
@@ -162,6 +164,7 @@ def frame_adjusted_iou(
     )
 
 
+# Kept by name only: perfbench/tracing.py wraps it.
 def adjusted_iou(
     segments: FrameSegments,
     index: int,
@@ -172,34 +175,40 @@ def adjusted_iou(
     return float(frame_adjusted_iou(segments, gt_labels, gt_components)[index])
 
 
-@dataclass
-class SegmentFeatures:
-    """One segment's feature vector plus its quality target.
+# One row of a `FeatureRows` record, read-only.
+FeatureRow = namedtuple("FeatureRow", "component_index class_id num_stability features")
 
-    `features` holds the canonical feature vector for the maximal number of
-    stability maps the stream provides; `vector` slices the prefix for any
-    smaller metric set.
+
+@dataclass(eq=False)
+class FeatureRows:
+    """A frame's feature rows, as arrays indexed by row.
+
+    Row i is a segment of frame `frame_index`: its component index, class,
+    track id (-1 if untracked), adjusted IoU (NaN without ground truth) and
+    canonical feature vector for `num_stability` stability maps.  The sizes
+    are feature columns 0-1, exact pixel counts.  Iterating yields one
+    `FeatureRow` per row, for callers that read rows one at a time (the
+    benchmark's frame check, `perfbench/checks.py`).
     """
 
     frame_index: int
-    component_index: int
-    class_id: int
-    size: int
-    size_inner: int
-    iou_adj: float
-    features: np.ndarray
-    num_classes: int
     num_stability: int
-    track_id: int = -1
+    components: np.ndarray  # (n,) int64
+    classes: np.ndarray  # (n,) int64
+    track_ids: np.ndarray  # (n,) int64
+    iou: np.ndarray  # (n,) float64
+    features: np.ndarray  # (n, d) float64
 
-    @property
-    def has_interior(self) -> bool:
-        return self.size_inner > 0
+    def __len__(self) -> int:
+        return len(self.components)
 
-    def vector(self, num_stability: int) -> np.ndarray:
-        if not 0 <= num_stability <= self.num_stability:
-            raise ValueError(
-                f"num_stability must be in [0, {self.num_stability}], "
-                f"got {num_stability}"
-            )
-        return self.features[: feature_count(self.num_classes, num_stability)]
+    def ids(self) -> np.ndarray:
+        """(n, 4) int64 frame, component, class and track id of each row."""
+        frames = np.full(len(self), self.frame_index)
+        return np.stack([frames, self.components, self.classes, self.track_ids], 1)
+
+    def __iter__(self):
+        for component, class_id, vector in zip(
+            self.components.tolist(), self.classes.tolist(), self.features
+        ):
+            yield FeatureRow(component, class_id, self.num_stability, vector)

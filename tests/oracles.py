@@ -422,3 +422,62 @@ def jittered_footprint(obj, height, width, offset):
         elif offset[1] < 0:
             mask[:, offset[1] :] = False
     return mask
+
+
+def validate_softmax(probs, tol=1e-5):
+    """Raise ValueError unless `probs` (H, W, c) holds, at every pixel, c >= 2
+    finite non-negative probabilities that sum to 1 within `tol`."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 3 or probs.shape[2] < 2:
+        raise ValueError(f"softmax frame must be (H, W, c >= 2), got {probs.shape}")
+    for pixel in probs.reshape(-1, probs.shape[2]).tolist():
+        if not all(math.isfinite(p) for p in pixel):
+            raise ValueError("softmax frame has non-finite values")
+        if min(pixel) < 0:
+            raise ValueError("softmax frame has negative probabilities")
+        if abs(math.fsum(pixel) - 1.0) > tol:
+            raise ValueError("softmax rows deviate from sum 1")
+
+
+def mean_cell_state(raw_block_state):
+    """Reduce a (H, W, F) per-block feature tensor to its per-pixel mean."""
+    raw = np.asarray(raw_block_state, dtype=np.float64)
+    if raw.ndim != 3 or raw.shape[2] < 1:
+        raise ValueError("raw block state must have shape (H, W, F) with F >= 1")
+    return raw.mean(axis=2)
+
+
+def build_time_series(rows, history):
+    """Time-series records from feature rows, one dict lookup per slot.
+
+    `rows` are (frame, component, track_id, size, size_in, iou, vector)
+    tuples in stream order.  Returns (frame, component, track_id, iou,
+    slots, mask) per row with size_in > 0, in the same order: slot s holds the
+    vector of the track's representative at frame - s (the largest segment
+    of the track in that frame, ties: first component), or zeros with mask 0.
+    """
+    by_track = {}
+    for row in rows:
+        frame, component, track, size = row[:4]
+        if track < 0:
+            continue
+        best = by_track.get((track, frame))
+        if best is None or (-size, component) < (-best[3], best[1]):
+            by_track[(track, frame)] = row
+    records = []
+    for frame, component, track, size, size_in, iou, vector in rows:
+        if size_in <= 0:
+            continue
+        slots = np.zeros((history + 1, len(vector)))
+        mask = np.zeros(history + 1)
+        slots[0] = vector
+        mask[0] = 1.0
+        for back in range(1, history + 1):
+            if track < 0:
+                break
+            past = by_track.get((track, frame - back))
+            if past is not None:
+                slots[back] = past[6]
+                mask[back] = 1.0
+        records.append((frame, component, track, iou, slots, mask))
+    return records

@@ -315,9 +315,8 @@ def test_criterion_6_auroc_equivalence():
 def test_criterion_7_end_to_end_signal_recovery(default_stream):
     start = time.time()
     manifest, rows_by_frame, _ = default_stream
-    interior = [r for rows in rows_by_frame for r in rows if r.has_interior]
-    assert len(interior) >= 2000
     table = assemble_dataset(rows_by_frame, 0, manifest.num_classes, 9)
+    assert len(table) >= 2000  # one record per segment with an interior
     split_spec = SplitSpec(runs=10, base_seed=0)
 
     report = run_experiment(
@@ -387,9 +386,7 @@ def test_criterion_8_baseline_feature_set_guard(tmp_path):
         rows_m0, _ = process_stream(manifest, num_stability=0)
         rows_m3, _ = process_stream(manifest, num_stability=3)
         for frame_m0, frame_m3 in zip(rows_m0, rows_m3):
-            for row0, row3 in zip(frame_m0, frame_m3):
-                assert len(row0.features) == 22 + c
-                assert len(row3.features) == 22 + c + 15
-                assert np.array_equal(row0.features, row3.features[: 22 + c])
-                assert np.array_equal(row0.vector(0), row3.vector(0))
+            assert frame_m0.features.shape[1] == 22 + c
+            assert frame_m3.features.shape[1] == 22 + c + 15
+            assert np.array_equal(frame_m0.features, frame_m3.features[:, : 22 + c])
     _passed(8, "feature counts 22+c+5m and bit-exact baseline prefix")

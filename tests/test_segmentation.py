@@ -198,7 +198,7 @@ def test_write_segment_csv_schema(tmp_path):
     labels = np.array([[0, 1], [0, 1], [0, 0]])
     softmax = np.where(labels[..., None] == np.arange(2), 0.9, 0.1)
     _, rows = extract_frame(softmax, None, None, 4, num_stability=0)
-    rows[0].track_id = 9
+    rows.track_ids[0] = 9
     path = tmp_path / "segments.csv"
     write_segment_csv([rows], path)
     with open(path, newline="", encoding="utf-8") as fh:

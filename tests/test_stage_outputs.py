@@ -2,6 +2,7 @@
 errors and warnings for inputs that cannot make a complete dataset."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -141,6 +142,41 @@ def test_feature_csv_matches_recorded_output(tmp_path):
             assert (np.abs(ours - recorded) <= 1e-12 * np.abs(recorded)).all(), name
 
 
+def test_dataset_stage_reproduces_recorded_sha256(runner, tmp_path):
+    """The dataset CSV and header at T = 0 and T = 2, m = 9, from the tracked
+    seed-9 stream, byte for byte as recorded before the feature rows became
+    arrays."""
+    with open(os.path.join(DATA, "dataset_sha256.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)["seed9_24_frames_m9"]
+    generate_stream(SynthConfig(**recorded["config"]), tmp_path / "stream")
+    manifest = str(tmp_path / "stream" / "manifest.json")
+    tracking, features = str(tmp_path / "tracking.csv"), str(tmp_path / "features.csv")
+    steps = [
+        ["track", "--manifest", manifest, "--out", tracking],
+        [
+            "extract", "--manifest", manifest, "--m", "9",
+            "--tracking", tracking, "--out", features,
+        ],
+    ]
+    for history in (0, 2):
+        steps.append(
+            [
+                "dataset", "--features", features, "--tracking", tracking,
+                "--classes", "10", "--m", "9", "--history", str(history),
+                "--out", str(tmp_path / f"history_{history}.csv"),
+                "--header", str(tmp_path / f"history_{history}.json"),
+            ]
+        )
+    for args in steps:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in recorded["sha256"]
+    }
+    assert digests == recorded["sha256"]
+
+
 def test_track_stage_computes_no_features(runner, small_dir, monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("the track stage computed a feature input")
@@ -159,7 +195,7 @@ def test_track_stage_computes_no_features(runner, small_dir, monkeypatch, tmp_pa
 
 def test_no_gt_features_cannot_build_a_dataset(small_dir):
     rows_by_frame = read_feature_csv(small_dir / "features_nogt.csv", 8, 3)
-    assert all(np.isnan(row.iou_adj) for rows in rows_by_frame for row in rows)
+    assert all(np.isnan(rows.iou).all() for rows in rows_by_frame)
     with pytest.raises(ValueError, match="--no-gt"):
         build_time_series(rows_by_frame, 0, 8, 3)
 
@@ -189,14 +225,14 @@ def test_truncated_tracking_csv_warns_with_count(small_dir, tmp_path):
     rows_by_frame = read_feature_csv(small_dir / "features_nogt.csv", 8, 3)
     with pytest.warns(UserWarning, match="^5 feature rows have no entry"):
         apply_tracking(rows_by_frame, read_tracking_csv(truncated))
-    untracked = [row for rows in rows_by_frame for row in rows if row.track_id < 0]
-    assert len(untracked) == 5
+    untracked = sum(int((rows.track_ids < 0).sum()) for rows in rows_by_frame)
+    assert untracked == 5
 
 
 def test_complete_tracking_csv_does_not_warn(small_dir, recwarn):
     rows_by_frame = read_feature_csv(small_dir / "features_nogt.csv", 8, 3)
     apply_tracking(rows_by_frame, read_tracking_csv(small_dir / "tracking.csv"))
-    assert all(row.track_id >= 0 for rows in rows_by_frame for row in rows)
+    assert all((rows.track_ids >= 0).all() for rows in rows_by_frame)
     assert not [w for w in recwarn if "tracking CSV" in str(w.message)]
 
 
@@ -261,3 +297,99 @@ def test_eval_report_matches_recorded_output(runner, tmp_path):
     with open(os.path.join(DATA, "report_seed9.csv"), encoding="utf-8") as fh:
         recorded_csv = fh.read()
     assert _within(_csv_values(ours_csv), _csv_values(recorded_csv))
+
+
+def _edited_csv(small_dir, tmp_path, name, edit):
+    """A copy of one of small_dir's CSVs with its lines changed by `edit`."""
+    lines = (small_dir / name).read_text().splitlines()
+    edit(lines)
+    bad = tmp_path / "in" / name
+    bad.parent.mkdir()
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def _set_field(lines, number, column, value):
+    fields = lines[number - 1].split(",")
+    fields[column] = value
+    lines[number - 1] = ",".join(fields)
+
+
+def _repeat_line(lines, number, at, track=None):
+    """Insert a copy of line `number` as line `at`, with a new track id."""
+    fields = lines[number - 1].split(",")
+    if track is not None:
+        fields[2] = track
+    lines.insert(at - 1, ",".join(fields))
+
+
+@pytest.mark.parametrize(
+    "source, edit, message",
+    [
+        # a negative frame used to drop its row without a word
+        ("features.csv", lambda lines: _set_field(lines, 3, 0, "-1"),
+         "line 3: frame is -1, not >= 0"),
+        ("features.csv", lambda lines: _set_field(lines, 4, 1, "-2"),
+         "line 4: component is -2, not >= 0"),
+        # a repeated row used to become a second record
+        ("features.csv", lambda lines: _repeat_line(lines, 2, 5),
+         "line 5: frame 0, component 0 repeats line 2"),
+        # in the tracking CSV, the last copy used to win
+        ("tracking.csv", lambda lines: _repeat_line(lines, 3, 6, track="99"),
+         "line 6: frame 0, component 1 repeats line 3"),
+    ],
+    ids=["negative_frame", "negative_component", "repeated_feature_row", "repeated_track_row"],
+)
+def test_bad_csv_keys_are_a_one_line_error(runner, small_dir, tmp_path, source, edit, message):
+    bad = _edited_csv(small_dir, tmp_path, source, edit)
+    features, tracking = (
+        bad if source == name else small_dir / name
+        for name in ("features.csv", "tracking.csv")
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(
+        main,
+        [
+            "dataset", "--features", str(features), "--tracking", str(tracking),
+            "--classes", "8", "--m", "3",
+            "--out", str(out / "dataset.csv"), "--header", str(out / "dataset.json"),
+        ],
+    )
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert result.output == f"Error: {bad}, {message}\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "classes, m, mismatch",
+    [
+        ("8", "2", "50 columns, expected 45; column 45 is 'cellstab3_mean', expected none"),
+        ("8", "4", "50 columns, expected 55; column 50 is none, expected 'cellstab4_mean'"),
+        ("10", "3", "50 columns, expected 52; column 35 is 'cellstab1_mean', expected 'classprob_8'"),
+    ],
+)
+def test_feature_csv_of_other_classes_or_m_names_the_column(
+    runner, small_dir, tmp_path, classes, m, mismatch
+):
+    features = small_dir / "features.csv"
+    result = runner.invoke(
+        main,
+        [
+            "dataset", "--features", str(features), "--classes", classes, "--m", m,
+            "--out", str(tmp_path / "dataset.csv"), "--header", str(tmp_path / "dataset.json"),
+        ],
+    )
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert result.output == (
+        f"Error: {features}: unexpected feature CSV header for classes={classes}, "
+        f"m={m}: {mismatch}\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_header_only_feature_csv_reads_as_no_rows(small_dir, tmp_path, recwarn):
+    path = tmp_path / "features.csv"
+    path.write_text((small_dir / "features.csv").read_text().splitlines()[0] + "\r\n")
+    assert read_feature_csv(path, 8, 3) == []
+    assert not recwarn.list

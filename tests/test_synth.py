@@ -37,8 +37,7 @@ def test_clean_stream_has_perfect_quality(tmp_path):
     manifest = generate_stream(config, tmp_path / "clean")
     rows_by_frame, _ = process_stream(manifest, 0)
     for rows in rows_by_frame:
-        for row in rows:
-            assert row.iou_adj == 1.0
+        assert (rows.iou == 1.0).all()
 
 
 def test_same_seed_is_byte_identical(tmp_path):
@@ -69,7 +68,7 @@ def test_manifest_is_valid_and_loadable(tmp_path):
     manifest = read_manifest(tmp_path / "manifest.json")
     assert manifest.num_frames == 3
     probs = manifest.load_softmax(0)
-    heatmaps.validate_softmax(probs)
+    oracles.validate_softmax(probs)
     labels = manifest.load_ground_truth(0)
     assert set(np.unique(labels)) <= set(range(8))
     # at least background plus some objects
@@ -104,9 +103,9 @@ def test_error_rate_binomial_fraction(tmp_path):
     )
     manifest = generate_stream(config, tmp_path)
     rows_by_frame, _ = process_stream(manifest, 0)
-    rows = [row for rows in rows_by_frame for row in rows]
-    assert len(rows) >= 500
-    zero_fraction = float(np.mean([row.iou_adj == 0.0 for row in rows]))
+    iou = np.concatenate([rows.iou for rows in rows_by_frame])
+    assert len(iou) >= 500
+    zero_fraction = float(np.mean(iou == 0.0))
     # 8 of 9 segments per frame are objects, each failing with p 0.2
     assert abs(zero_fraction - 0.2 * 8 / 9) < 0.05
     assert abs(zero_fraction - 0.2) < 0.05
@@ -133,10 +132,9 @@ def test_flipped_segments_have_amplified_stability(tmp_path):
     stab_idx = names.index("cellstab1_mean")
     err, good = [], []
     for rows in rows_by_frame:
-        for row in rows:
-            if row.class_id == 0:
-                continue  # background
-            (err if row.iou_adj == 0.0 else good).append(row.features[stab_idx])
+        objects = rows.classes != 0  # not the background
+        err += rows.features[objects & (rows.iou == 0.0), stab_idx].tolist()
+        good += rows.features[objects & (rows.iou != 0.0), stab_idx].tolist()
     assert len(err) > 20 and len(good) > 20
     assert float(np.mean(err)) > float(np.mean(good))
     # planted gain of 3x: demand a clear margin, not just an inequality
