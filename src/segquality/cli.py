@@ -134,9 +134,7 @@ def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, 
         track_table = read_tracking_csv(tracking_path) if tracking_path else None
     except ValueError as exc:
         _fail(str(exc))
-    rows_by_frame, _ = process_stream(
-        manifest, num_stability, params=None, with_gt=not no_gt
-    )
+    rows_by_frame = process_stream(manifest, num_stability, with_gt=not no_gt)
     if track_table is not None:
         apply_tracking(rows_by_frame, track_table)
     write_feature_csv(rows_by_frame, out, manifest.num_classes, num_stability)
@@ -155,9 +153,9 @@ def track_cmd(manifest_path, out, c_near, c_over, c_dist, c_lin, window):
     manifest = _load_manifest(manifest_path)
     params = _params_from(c_near, c_over, c_dist, c_lin, window)
     shape = (manifest.height, manifest.width)
-    assignments = track_stream(stream_segments(manifest), params, shape)
-    write_tracking_csv(assignments, out)
-    total = sum(len(a) for a in assignments)
+    tracks = track_stream(stream_segments(manifest), params, shape)
+    write_tracking_csv(tracks, out)
+    total = sum(len(frame) for frame in tracks)
     click.echo(f"wrote {total} assignments to {out}")
 
 

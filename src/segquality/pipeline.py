@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from . import heatmaps, seg_metrics, segmentation, tracking
+from . import heatmaps, seg_metrics, segmentation
 from .dataset import (
     build_time_series,
     check_finite_columns,
@@ -63,43 +63,25 @@ def extract_frame(
 
 
 def process_stream(
-    manifest: StreamManifest,
-    num_stability: int,
-    params: tracking.TrackingParams | None = None,
-    with_gt: bool = True,
-):
-    """One pass over a stream: per-frame feature rows plus track assignments.
-
-    Returns (rows_by_frame, assignments_by_frame); assignments are None when
-    no tracking parameters are given.  Track ids are filled into the rows.
-    """
+    manifest: StreamManifest, num_stability: int, with_gt: bool = True
+) -> list[FeatureRows]:
+    """One pass over a stream: each frame's feature rows, untracked (track
+    ids -1; `apply_tracking` fills them from a tracking CSV)."""
     if not 0 <= num_stability <= manifest.num_blocks - 1:
         raise ValueError(
             f"num_stability must be in [0, {manifest.num_blocks - 1}], "
             f"got {num_stability}"
         )
-    state = tracking.TrackState()
-    shape = (manifest.height, manifest.width)
     rows_by_frame = []
-    assignments_by_frame = [] if params is not None else None
     for frame_index in range(manifest.num_frames):
         softmax = manifest.load_softmax(frame_index)
         cell_stack = (
             manifest.load_cell_state(frame_index) if num_stability > 0 else None
         )
         gt = manifest.load_ground_truth(frame_index) if with_gt else None
-        segments, rows = extract_frame(
-            softmax, cell_stack, gt, frame_index, num_stability
-        )
-        if params is not None:
-            assignments = tracking.track_frame(
-                state, segments, frame_index, params, shape
-            )
-            # one assignment per component, in component order
-            rows.track_ids[:] = [a.track_id for a in assignments]
-            assignments_by_frame.append(assignments)
+        _, rows = extract_frame(softmax, cell_stack, gt, frame_index, num_stability)
         rows_by_frame.append(rows)
-    return rows_by_frame, assignments_by_frame
+    return rows_by_frame
 
 
 def stream_segments(manifest: StreamManifest):
@@ -155,15 +137,9 @@ def read_feature_csv(path, num_classes: int, num_stability: int):
 TRACKING_CSV_COLUMNS = ("frame", "component", "track_id", "matched_step")
 
 
-def write_tracking_csv(assignments_by_frame, path):
-    def table(assignments):
-        rows = [
-            (a.frame_index, a.component_index, a.track_id, a.matched_step)
-            for a in assignments
-        ]
-        return [np.array(rows, np.int64).reshape(-1, 4)]
-
-    write_csv(path, TRACKING_CSV_COLUMNS, map(table, assignments_by_frame))
+def write_tracking_csv(tracks_by_frame, path):
+    """The tracker's `FrameTracks`, one row per segment."""
+    write_csv(path, TRACKING_CSV_COLUMNS, ([t.table()] for t in tracks_by_frame))
 
 
 def read_tracking_csv(path):

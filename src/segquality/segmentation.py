@@ -59,28 +59,17 @@ class FrameSegments:
     component (0, 1, ... in raster order of each segment's first pixel).
 
     `comp_map` (H, W) holds each pixel's component and `inner` (H, W) flags
-    the pixels whose eight neighbors all exist and share it.  `order` lists
-    the flat pixel indices grouped by component, raster order within each, so
-    segment i's pixels are `order[bounds[i]:bounds[i + 1]]`.
+    the pixels whose eight neighbors all exist and share it.
     """
 
     comp_map: np.ndarray
     inner: np.ndarray
     classes: np.ndarray  # (n,) class of each segment
     centers: np.ndarray  # (n, 2) mean row and column of each segment
-    order: np.ndarray
-    bounds: np.ndarray  # (n + 1,)
+    sizes: np.ndarray  # (n,) pixel count of each segment
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.bounds)
-
-    def indices(self, i: int) -> np.ndarray:
-        """Flat pixel indices of segment i, in raster order."""
-        return self.order[self.bounds[i] : self.bounds[i + 1]]
 
 
 def connected_components(labels: np.ndarray) -> FrameSegments:
@@ -89,19 +78,13 @@ def connected_components(labels: np.ndarray) -> FrameSegments:
     comp_map = label_components(labels)
     flat = comp_map.ravel()
     counts = np.bincount(flat)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(flat, kind="stable")
+    # every pixel of a segment has the segment's class
+    classes = np.empty(len(counts), dtype=labels.dtype)
+    classes[flat] = labels.ravel()
     rows, cols = np.indices(labels.shape).reshape(2, -1)
     # integer coordinate sums are exact, so each center is the rounded mean
     centers = np.stack(
         [np.bincount(flat, weights=rows), np.bincount(flat, weights=cols)], axis=1
     )
     centers /= counts[:, None]
-    return FrameSegments(
-        comp_map,
-        inner_mask(comp_map),
-        labels.ravel()[order[bounds[:-1]]],
-        centers,
-        order,
-        bounds,
-    )
+    return FrameSegments(comp_map, inner_mask(comp_map), classes, centers, counts)

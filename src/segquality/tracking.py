@@ -12,7 +12,7 @@ group per frame.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -38,16 +38,47 @@ class TrackingParams:
             raise ValueError("tracking constants must be positive")
         if self.c_over > 1:
             raise ValueError(f"c_over must be in (0, 1], got {self.c_over}")
-        if self.history_window < 2:
+        window = self.history_window
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise ValueError(f"history_window must be an integer, got {window!r}")
+        if window < 2:
             raise ValueError("history_window must be >= 2")
 
 
-@dataclass
-class TrackAssignment:
+# One row of a `FrameTracks` record, read-only.
+TrackAssignment = namedtuple(
+    "TrackAssignment", "frame_index component_index track_id matched_step"
+)
+
+
+@dataclass(eq=False)
+class FrameTracks:
+    """A frame's track assignments, as arrays indexed by component.
+
+    Component i of frame `frame_index` has track id `track_ids[i]` and was
+    matched by step `matched_steps[i]` (1-5).  Iterating yields one
+    `TrackAssignment` per component, for callers that read them one at a time
+    (the benchmark's tracer and frame check, `perfbench/`).
+    """
+
     frame_index: int
-    component_index: int
-    track_id: int
-    matched_step: int
+    track_ids: np.ndarray  # (n,) int64
+    matched_steps: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.track_ids)
+
+    def table(self) -> np.ndarray:
+        """(n, 4) int64 frame, component, track id and matched step of each
+        component: the rows of the tracking CSV."""
+        n = len(self)
+        frames = np.full(n, self.frame_index, dtype=np.int64)
+        components = np.arange(n, dtype=np.int64)
+        return np.stack([frames, components, self.track_ids, self.matched_steps], 1)
+
+    def __iter__(self):
+        for row in self.table().tolist():
+            yield TrackAssignment(*row)
 
 
 @dataclass
@@ -61,8 +92,7 @@ class _Track:
 
 class TrackState:
     """The tracks a later frame can still match, the next free id, and the
-    track id of every pixel of the last frame that had segments (-1 where no
-    segment was).
+    track id of every pixel of the last frame that had segments.
 
     A track is dropped once its latest entry is `history_window` or more
     frames old: step 4 needs two entries in the last `history_window` frames,
@@ -139,12 +169,11 @@ class _Group:
         return len(self.flat)
 
 
-def _make_group(segments: FrameSegments, root: int, members: list[int], width: int):
-    flat = np.concatenate([segments.indices(i) for i in members])
+def _make_group(root: int, class_id: int, flat: np.ndarray, width: int):
     rows, cols = np.divmod(flat, width)
     return _Group(
         root=root,
-        class_id=int(segments.classes[root]),
+        class_id=class_id,
         flat=flat,
         rows=rows,
         cols=cols,
@@ -229,7 +258,7 @@ def track_frame(
     frame_index: int,
     params: TrackingParams,
     frame_shape,
-) -> list[TrackAssignment]:
+) -> FrameTracks:
     """Assign track ids to one frame's segments and update the track state.
 
     Frames must come in increasing `frame_index` order and share one
@@ -241,7 +270,7 @@ def track_frame(
             f"frame_index must increase: got {frame_index} after {state.last_frame}"
         )
     if not segments:
-        return []
+        return FrameTracks(frame_index, np.zeros(0, np.int64), np.zeros(0, np.int64))
     frame_shape = tuple(frame_shape)
     if segments.comp_map.shape != frame_shape:
         raise ValueError(
@@ -265,6 +294,12 @@ def track_frame(
     centers = segments.centers.tolist()
     inner = segments.inner.ravel()
     order = _segment_order(segments)
+    # the flat pixel indices grouped by segment, raster order within each
+    by_segment = np.argsort(segments.comp_map.ravel(), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(segments.sizes))).tolist()
+
+    def pixels(i):
+        return by_segment[bounds[i] : bounds[i + 1]]
 
     # Step 1: same-frame grouping of nearby same-class segments (transitive).
     root = list(range(len(segments)))
@@ -274,7 +309,6 @@ def track_frame(
             i = root[i]
         return i
 
-    matched_step = {}
     processed: list[int] = []
     rank = {idx: pos for pos, idx in enumerate(order)}
     boxes: dict[int, tuple[int, int, int, int]] = {}
@@ -284,14 +318,14 @@ def track_frame(
         # its boundary, computed when the segment is first compared; its
         # first and last pixels in raster order lie on its top and bottom rows
         if i not in boxes:
-            flat = segments.indices(i)
+            flat = pixels(i)
             cols = flat % width
             top, bottom = int(flat[0]) // width, int(flat[-1]) // width
             boxes[i] = (top, bottom, int(cols.min()), int(cols.max()))
         return boxes[i]
 
     def boundary(i):
-        flat = segments.indices(i)
+        flat = pixels(i)
         rows, cols = np.divmod(flat[~inner[flat]], width)
         return np.stack([rows, cols], axis=1).astype(np.float64)
 
@@ -311,13 +345,15 @@ def track_frame(
                 best = (key, other)
         if best is not None:
             root[idx] = find(best[1])
-            matched_step[idx] = 1
         processed.append(idx)
 
     members: dict[int, list[int]] = {}
     for idx in order:
         members.setdefault(find(idx), []).append(idx)
-    groups = [_make_group(segments, r, m, width) for r, m in members.items()]
+    groups = [
+        _make_group(r, classes[r], np.concatenate([pixels(i) for i in m]), width)
+        for r, m in members.items()
+    ]
     group_order = sorted(groups, key=lambda g: (-g.size, g.root))
 
     # Steps 2-4 match groups against tracked entities; each track is consumed
@@ -345,31 +381,24 @@ def track_frame(
             )
             state.next_id += 1
 
-    assignments = []
-    for idx in range(len(segments)):
-        track_id, step = assigned[find(idx)]
-        assignments.append(
-            TrackAssignment(
-                frame_index=frame_index,
-                component_index=idx,
-                track_id=track_id,
-                matched_step=matched_step.get(idx, step),
-            )
-        )
-
-    state.track_map = np.full(frame_shape, -1, dtype=np.int64)
+    # a step-1 member keeps step 1 and takes its root's track id
+    track_ids = np.empty(len(segments), dtype=np.int64)
+    matched_steps = np.ones(len(segments), dtype=np.int64)
     for group in group_order:
-        track_id = assigned[group.root][0]
-        state.track_map.ravel()[group.flat] = track_id
+        track_id, step = assigned[group.root]
+        track_ids[members[group.root]] = track_id
+        matched_steps[group.root] = step
         state.tracks[track_id].history.append((frame_index, group.center))
-    return assignments
+    # every pixel belongs to a segment
+    state.track_map = track_ids.take(segments.comp_map)
+    return FrameTracks(frame_index, track_ids, matched_steps)
 
 
 def track_stream(
     per_frame_segments: Iterable[FrameSegments],
     params: TrackingParams,
     frame_shape,
-) -> list[list[TrackAssignment]]:
+) -> list[FrameTracks]:
     """Track a whole sequence of per-frame segments (any iterable, so a
     generator can produce one frame at a time)."""
     state = TrackState()

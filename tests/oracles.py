@@ -73,7 +73,8 @@ def flood_fill_components(labels):
 def segment_pixels(segments, i):
     """(n, 2) rows and columns of segment i of a `FrameSegments`, in raster
     order, and the (n,) inner flags of those pixels."""
-    rows, cols = np.divmod(segments.indices(i), segments.comp_map.shape[1])
+    flat = np.flatnonzero(segments.comp_map.ravel() == i)
+    rows, cols = np.divmod(flat, segments.comp_map.shape[1])
     return np.stack([rows, cols], axis=1), segments.inner[rows, cols]
 
 

@@ -15,7 +15,7 @@ from segquality import heatmaps
 from segquality.dataset import SplitSpec
 from segquality.evaluation import auroc, naive_baseline_accuracy, run_experiment
 from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore
-from segquality.pipeline import assemble_dataset, process_stream
+from segquality.pipeline import assemble_dataset, process_stream, stream_segments
 from segquality.seg_metrics import (
     BASE_FEATURE_COUNT,
     ENTROPY_MEAN_INDEX,
@@ -28,6 +28,7 @@ from segquality.segmentation import connected_components
 from segquality.synth import SynthConfig, generate_stream
 from segquality.tracking import TrackingParams, _make_group, _overlap, track_stream
 from test_meta_models import finite_difference_check
+from test_pipeline import tracked_stream
 
 
 def _means(report):
@@ -45,10 +46,8 @@ def default_stream(tmp_path_factory):
     """The default synthetic stream: seed 42, p_err = 0.15, >= 2000 segments."""
     out = tmp_path_factory.mktemp("default_stream")
     manifest = generate_stream(SynthConfig(), out)
-    rows_by_frame, assignments = process_stream(
-        manifest, num_stability=9, params=TrackingParams()
-    )
-    return manifest, rows_by_frame, assignments
+    rows_by_frame, tracks = tracked_stream(manifest, 9)
+    return manifest, rows_by_frame, tracks
 
 
 def _passed(criterion, detail):
@@ -118,9 +117,9 @@ def test_criterion_2_formula_oracles_on_random_frames():
         k_pixels, _ = oracles.segment_pixels(gt_segments, k)
         k_set = {(r + dy, col + dx) for r, col in k_pixels.tolist()}
         expected = oracles.overlap_ratio(j_set, k_set)
-        actual = _overlap(
-            gt_segments.comp_map, _make_group(segments, 0, [0], 32), k, dy, dx
-        )
+        flat = np.flatnonzero(segments.comp_map.ravel() == 0)
+        group = _make_group(0, int(segments.classes[0]), flat, 32)
+        actual = _overlap(gt_segments.comp_map, group, k, dy, dx)
         assert abs(actual - expected) < 1e-9
         checked["overlap"] += 1
     elapsed = time.time() - start
@@ -184,7 +183,8 @@ def test_criterion_4_tracking_invariants(tmp_path, default_stream):
         seed=4,
     )
     manifest = generate_stream(config, tmp_path / "constant")
-    _, assignments = process_stream(manifest, 0, params=TrackingParams())
+    shape = (manifest.height, manifest.width)
+    assignments = track_stream(stream_segments(manifest), TrackingParams(), shape)
     first = {a.component_index: a.track_id for a in assignments[0]}
     for frame_assignments in assignments[1:]:
         assert {a.component_index: a.track_id for a in frame_assignments} == first
@@ -383,8 +383,8 @@ def test_criterion_8_baseline_feature_set_guard(tmp_path):
             seed=8,
         )
         manifest = generate_stream(config, tmp_path / f"c{c}")
-        rows_m0, _ = process_stream(manifest, num_stability=0)
-        rows_m3, _ = process_stream(manifest, num_stability=3)
+        rows_m0 = process_stream(manifest, num_stability=0)
+        rows_m3 = process_stream(manifest, num_stability=3)
         for frame_m0, frame_m3 in zip(rows_m0, rows_m3):
             assert frame_m0.features.shape[1] == 22 + c
             assert frame_m3.features.shape[1] == 22 + c + 15

@@ -9,11 +9,23 @@ from segquality.pipeline import (
     process_stream,
     read_feature_csv,
     read_tracking_csv,
+    stream_segments,
     write_feature_csv,
     write_tracking_csv,
 )
 from segquality.synth import SynthConfig, generate_stream
-from segquality.tracking import TrackingParams
+from segquality.tracking import TrackingParams, track_stream
+
+
+def tracked_stream(manifest, num_stability):
+    """The stream's feature rows with the track ids of the track stage's
+    default tracker, and that tracker's per-frame tracks."""
+    rows_by_frame = process_stream(manifest, num_stability)
+    shape = (manifest.height, manifest.width)
+    tracks = track_stream(stream_segments(manifest), TrackingParams(), shape)
+    for rows, frame in zip(rows_by_frame, tracks, strict=True):
+        rows.track_ids[:] = frame.track_ids
+    return rows_by_frame, tracks
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +80,18 @@ def test_extract_frame_requires_cells_for_stability():
         extract_frame(softmax, None, None, 0, num_stability=1)
 
 
-def test_process_stream_fills_track_ids(small_stream):
-    rows_by_frame, assignments = process_stream(
-        small_stream, 1, params=TrackingParams()
-    )
+def test_process_stream_rows_take_the_track_stage_ids(small_stream, tmp_path):
+    rows_by_frame = process_stream(small_stream, 1)
     assert len(rows_by_frame) == small_stream.num_frames
-    assert len(assignments) == small_stream.num_frames
-    for rows, frame_assignments in zip(rows_by_frame, assignments):
-        assert rows.track_ids.tolist() == [a.track_id for a in frame_assignments]
+    assert all((rows.track_ids == -1).all() for rows in rows_by_frame)
+    shape = (small_stream.height, small_stream.width)
+    tracks = track_stream(stream_segments(small_stream), TrackingParams(), shape)
+    assert len(tracks) == small_stream.num_frames
+    path = tmp_path / "tracking.csv"
+    write_tracking_csv(tracks, path)
+    apply_tracking(rows_by_frame, read_tracking_csv(path))
+    for rows, frame in zip(rows_by_frame, tracks):
+        assert rows.track_ids.tolist() == [a.track_id for a in frame]
         assert (rows.track_ids >= 0).all()
 
 
@@ -85,9 +101,7 @@ def test_process_stream_rejects_bad_stability(small_stream):
 
 
 def test_feature_csv_round_trip(small_stream, tmp_path):
-    rows_by_frame, assignments = process_stream(
-        small_stream, 2, params=TrackingParams()
-    )
+    rows_by_frame, _ = tracked_stream(small_stream, 2)
     path = tmp_path / "features.csv"
     write_feature_csv(rows_by_frame, path, small_stream.num_classes, 2)
     back = read_feature_csv(path, small_stream.num_classes, 2)
@@ -102,7 +116,7 @@ def test_feature_csv_round_trip(small_stream, tmp_path):
 
 
 def test_read_feature_csv_rejects_a_non_finite_feature(small_stream, tmp_path):
-    rows_by_frame, _ = process_stream(small_stream, 2, params=TrackingParams())
+    rows_by_frame, _ = tracked_stream(small_stream, 2)
     path = tmp_path / "features.csv"
     write_feature_csv(rows_by_frame, path, small_stream.num_classes, 2)
     lines = path.read_text().splitlines()
@@ -122,20 +136,19 @@ def test_read_feature_csv_rejects_a_non_finite_feature(small_stream, tmp_path):
 
 
 def test_tracking_csv_round_trip_and_apply(small_stream, tmp_path):
-    rows_by_frame, assignments = process_stream(
-        small_stream, 0, params=TrackingParams()
-    )
+    rows_by_frame, tracks = tracked_stream(small_stream, 0)
     path = tmp_path / "tracking.csv"
-    write_tracking_csv(assignments, path)
+    write_tracking_csv(tracks, path)
     table = read_tracking_csv(path)
-    fresh_rows, _ = process_stream(small_stream, 0, params=None)
+    assert np.array_equal(table, np.concatenate([t.table() for t in tracks]))
+    fresh_rows = process_stream(small_stream, 0)
     apply_tracking(fresh_rows, table)
     for orig_rows, fresh in zip(rows_by_frame, fresh_rows):
         assert np.array_equal(orig_rows.track_ids, fresh.track_ids)
 
 
 def test_assemble_dataset_feature_length_contract(small_stream):
-    rows_by_frame, _ = process_stream(small_stream, 3, params=TrackingParams())
+    rows_by_frame, _ = tracked_stream(small_stream, 3)
     for history in (0, 2):
         table = assemble_dataset(rows_by_frame, history, small_stream.num_classes, 3)
         expected_dim = 22 + small_stream.num_classes + 5 * 3
@@ -148,13 +161,11 @@ def test_assemble_dataset_feature_length_contract(small_stream):
 
 def test_rerun_produces_identical_artifacts(small_stream, tmp_path):
     for tag in ("x", "y"):
-        rows_by_frame, assignments = process_stream(
-            small_stream, 2, params=TrackingParams()
-        )
+        rows_by_frame, tracks = tracked_stream(small_stream, 2)
         write_feature_csv(
             rows_by_frame, tmp_path / f"f_{tag}.csv", small_stream.num_classes, 2
         )
-        write_tracking_csv(assignments, tmp_path / f"t_{tag}.csv")
+        write_tracking_csv(tracks, tmp_path / f"t_{tag}.csv")
         table = assemble_dataset(rows_by_frame, 2, small_stream.num_classes, 2)
         write_dataset(table, tmp_path / f"d_{tag}.csv", tmp_path / f"d_{tag}.json")
     for name in ("f", "t", "d"):

@@ -106,7 +106,7 @@ def test_determinism_on_identical_frames():
     a = connected_components(labels.copy())
     b = connected_components(labels.copy())
     assert len(a) == len(b)
-    for name in ("comp_map", "inner", "classes", "centers", "order", "bounds"):
+    for name in ("comp_map", "inner", "classes", "centers", "sizes"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 

@@ -15,15 +15,13 @@ from segquality.cli import main
 from segquality.dataset import build_time_series
 from segquality.pipeline import (
     apply_tracking,
-    process_stream,
     read_feature_csv,
     read_tracking_csv,
     write_feature_csv,
-    write_tracking_csv,
 )
 from segquality.synth import SynthConfig, generate_stream
-from segquality.tracking import TrackingParams
 from test_cli import SYNTH_ARGS
+from test_pipeline import tracked_stream
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -66,23 +64,6 @@ def test_segment_csv_is_byte_identical_to_recorded_output(small_dir):
     assert (small_dir / "segments.csv").read_bytes() == expected
 
 
-def test_track_stage_matches_process_stream_on_default_stream(
-    runner, tmp_path_factory
-):
-    root = tmp_path_factory.mktemp("default_stream")
-    manifest = generate_stream(SynthConfig(), root / "stream")
-    out = root / "tracking_cli.csv"
-    manifest_path = root / "stream" / "manifest.json"
-    result = runner.invoke(
-        main, ["track", "--manifest", str(manifest_path), "--out", str(out)]
-    )
-    assert result.exit_code == 0, result.output
-    _, assignments = process_stream(manifest, 0, TrackingParams())
-    reference = root / "tracking_process_stream.csv"
-    write_tracking_csv(assignments, reference)
-    assert out.read_bytes() == reference.read_bytes()
-
-
 def _track_stage_output(runner, config, tmp_path):
     generate_stream(config, tmp_path / "stream")
     out = tmp_path / "tracking.csv"
@@ -110,6 +91,19 @@ def test_track_stage_reproduces_recorded_crowded_stream(runner, tmp_path):
     assert _track_stage_output(runner, config, tmp_path) == expected
 
 
+with open(os.path.join(DATA, "tracking_sha256.json"), encoding="utf-8") as _fh:
+    TRACKING_SHA256 = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(TRACKING_SHA256))
+def test_track_stage_reproduces_recorded_sha256(runner, tmp_path, name):
+    """Seeds 1-3 of the default stream and the 256x512, 60-object stress
+    stream, recorded while `track_frame` returned one object per segment."""
+    recorded = TRACKING_SHA256[name]
+    output = _track_stage_output(runner, SynthConfig(**recorded["config"]), tmp_path)
+    assert hashlib.sha256(output).hexdigest() == recorded["sha256"]
+
+
 # Columns that come from integer counts, exact coordinate sums and the
 # tracker; every other column is a floating-point reduction over pixels.
 EXACT_FEATURE_COLUMNS = (
@@ -123,7 +117,7 @@ def test_feature_csv_matches_recorded_output(tmp_path):
     # recorded from the per-pixel-last dispersion maps (sorted top two,
     # numpy's last-axis sums) and separate total and inner/boundary sums
     manifest = generate_stream(SynthConfig(num_frames=24, seed=9), tmp_path)
-    rows_by_frame, _ = process_stream(manifest, 9, TrackingParams())
+    rows_by_frame, _ = tracked_stream(manifest, 9)
     out = tmp_path / "features.csv"
     write_feature_csv(rows_by_frame, out, manifest.num_classes, 9)
     with open(os.path.join(DATA, "features_seed9.csv"), newline="") as fh:

@@ -35,7 +35,7 @@ def _config(**overrides):
 def test_clean_stream_has_perfect_quality(tmp_path):
     config = _config(error_rate=0.0, jitter=0, flash_rate=0.0)
     manifest = generate_stream(config, tmp_path / "clean")
-    rows_by_frame, _ = process_stream(manifest, 0)
+    rows_by_frame = process_stream(manifest, 0)
     for rows in rows_by_frame:
         assert (rows.iou == 1.0).all()
 
@@ -102,7 +102,7 @@ def test_error_rate_binomial_fraction(tmp_path):
         seed=42,
     )
     manifest = generate_stream(config, tmp_path)
-    rows_by_frame, _ = process_stream(manifest, 0)
+    rows_by_frame = process_stream(manifest, 0)
     iou = np.concatenate([rows.iou for rows in rows_by_frame])
     assert len(iou) >= 500
     zero_fraction = float(np.mean(iou == 0.0))
@@ -125,7 +125,7 @@ def test_flipped_segments_have_amplified_stability(tmp_path):
         seed=5,
     )
     manifest = generate_stream(config, tmp_path)
-    rows_by_frame, _ = process_stream(manifest, num_stability=manifest.num_blocks - 1)
+    rows_by_frame = process_stream(manifest, num_stability=manifest.num_blocks - 1)
     from segquality.seg_metrics import feature_names
 
     names = feature_names(config.num_classes, manifest.num_blocks - 1)

@@ -150,3 +150,44 @@ def test_tensor_file_size_matches_disk(tmp_path):
     path = tmp_path / "t.tmsg"
     write_tensor(path, np.zeros((6, 5, 3)))
     assert os.path.getsize(path) == tensor_file_size((6, 5, 3))
+
+
+# The byte ranges of the header's magic, version, ndim and dims fields.
+_HEADER_FIELDS = ((0, 4), (4, 6), (6, 8), (8, HEADER_SIZE))
+
+
+def _assert_rejected(path, data, shape):
+    """`data` written to `path` is refused with one line that names the file."""
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFormatError) as err:
+        read_tensor(path, shape)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message, message
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (4, 7, 3)], ids=["2d", "3d"])
+def test_seeded_corruptions_are_one_line_errors(tmp_path, shape):
+    """Flipped header bits, truncations and non-finite payload values, each
+    read with the expected shape as the stream loaders read them (a 2-D file
+    whose ndim reads 3 holds a valid (h, w, 1) tensor; only the shape check
+    can refuse it)."""
+    rng = np.random.default_rng(19)
+    good = tmp_path / "good.tmsg"
+    write_tensor(good, rng.standard_normal(shape))
+    original = good.read_bytes()
+    path = tmp_path / "bad.tmsg"
+    for start, end in _HEADER_FIELDS:
+        for _ in range(25):
+            data = bytearray(original)
+            data[int(rng.integers(start, end))] ^= 1 << int(rng.integers(8))
+            _assert_rejected(path, data, shape)
+    for cut in rng.integers(0, len(original), size=50):
+        _assert_rejected(path, original[:cut], shape)
+    count = len(original[HEADER_SIZE:]) // 4
+    for value in ("nan", "inf", "-inf"):
+        for index in rng.integers(0, count, size=10):
+            data = bytearray(original)
+            offset = HEADER_SIZE + 4 * int(index)
+            data[offset : offset + 4] = struct.pack("<f", float(value))
+            _assert_rejected(path, data, shape)
+    assert np.array_equal(read_tensor(good, shape), read_tensor(good))

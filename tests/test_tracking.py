@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,8 @@ def _frames_to_assignments(frames):
 
 
 def _group(segments, i, width):
-    return _make_group(segments, i, [i], width)
+    flat = np.flatnonzero(segments.comp_map.ravel() == i)
+    return _make_group(i, int(segments.classes[i]), flat, width)
 
 
 def _pixels(segments, i):
@@ -372,11 +374,37 @@ def test_matched_segments_never_rematch():
 
 def test_empty_frame_list_and_degenerate_frames():
     state = TrackState()
-    assert track_frame(state, [], 0, PARAMS, (5, 5)) == []
+    empty = track_frame(state, [], 0, PARAMS, (5, 5))
+    assert len(empty) == 0 and list(empty) == []
+    assert empty.table().shape == (0, 4) and empty.table().dtype == np.int64
     labels = np.zeros((5, 5), dtype=int)
     segs = _segments(labels)
     out = track_frame(state, segs, 0, PARAMS, (5, 5))
-    assert len(out) == 1 and out[0].matched_step == 5
+    assert len(out) == 1 and out.matched_steps.tolist() == [5]
+
+
+def test_frame_tracks_iterate_as_read_only_table_rows():
+    labels = np.zeros((30, 30), dtype=int)
+    _block(labels, 1, 5, 10, 5, 10)
+    _block(labels, 1, 5, 10, 13, 18)  # 3 px from the first: a step-1 pair
+    _block(labels, 2, 20, 25, 20, 25)
+    state = TrackState()
+    track_frame(state, _segments(labels), 3, PARAMS, labels.shape)
+    out = track_frame(state, _segments(labels), 4, PARAMS, labels.shape)
+    assert out.frame_index == 4
+    assert out.track_ids.dtype == out.matched_steps.dtype == np.int64
+    table = out.table()
+    assert table.dtype == np.int64
+    assert table.tolist() == [list(row) for row in out]
+    assert table[:, 0].tolist() == [4] * len(out)
+    assert table[:, 1].tolist() == list(range(len(out)))
+    assert sorted(table[:, 3].tolist()) == [1, 2, 2, 2]
+    rows = list(out)
+    assert rows[1]._fields == (
+        "frame_index", "component_index", "track_id", "matched_step"
+    )
+    with pytest.raises(AttributeError):
+        rows[0].track_id = 7
 
 
 def test_state_memory_is_one_map_plus_a_little_per_track(tmp_path):
@@ -408,6 +436,11 @@ def test_tracking_params_validation():
         TrackingParams(c_over=1.5)
     with pytest.raises(ValueError, match="history_window"):
         TrackingParams(history_window=1)
+    # a non-integer window used to fail at the first frame, inside deque
+    for window in (2.5, 3.0, True, "5", np.int64(3)):
+        message = f"history_window must be an integer, got {window!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrackingParams(history_window=window)
 
 
 def test_step1_builds_no_tree_for_far_pairs(monkeypatch):
