@@ -1,7 +1,9 @@
 """Command-line pipeline: synth | extract | track | dataset | train | eval.
 
 Every stage reads and writes on-disk artifacts, so stages are resumable and
-their outputs are pure functions of the declared inputs and seeds.
+their outputs are pure functions of the declared inputs and seeds.  Bad input
+is a `ValueError` wherever it is found, and `main` ends any stage it stops
+with a one-line error.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import json
 import click
 
 from .dataset import SplitSpec, read_dataset, write_dataset
+# called by this name: perfbench/tracing.py times cli.assemble_dataset
+from .dataset import build_time_series as assemble_dataset
 from .evaluation import fit_split, run_experiment, run_time_series_experiment
 from .meta_models import FAMILIES, TASKS, ModelSpec
 from .pipeline import (
     apply_tracking,
-    assemble_dataset,
     process_stream,
     read_feature_csv,
     read_tracking_csv,
@@ -27,19 +30,12 @@ from .pipeline import (
 )
 from .seg_metrics import feature_names
 from .synth import SynthConfig, generate_stream
-from .tensor_io import ManifestError, TensorFormatError, read_manifest
+from .tensor_io import read_manifest
 from .tracking import TrackingParams, track_stream
 
 
 def _fail(message: str) -> None:
     raise click.ClickException(message)
-
-
-def _load_manifest(path):
-    try:
-        return read_manifest(path)
-    except (ManifestError, TensorFormatError) as exc:
-        _fail(str(exc))
 
 
 def _tracking_options(func):
@@ -59,20 +55,19 @@ def _tracking_options(func):
     return func
 
 
-def _params_from(c_near, c_over, c_dist, c_lin, window) -> TrackingParams:
-    try:
-        return TrackingParams(
-            c_near=c_near,
-            c_over=c_over,
-            c_dist=c_dist,
-            c_lin=c_lin,
-            history_window=window,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+class _Main(click.Group):
+    """The command group; a `ValueError` from any stage (`TensorFormatError`,
+    `ManifestError` and `json.JSONDecodeError` are ones) ends it with one
+    `Error:` line and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option()
 def main():
     """Segment-wise quality prediction for video segmentation streams."""
@@ -103,11 +98,7 @@ def synth_cmd(out, config, **overrides):
     unknown = set(values) - known
     if unknown:
         _fail(f"unknown synth config fields: {sorted(unknown)}")
-    try:
-        cfg = SynthConfig(**values)
-        manifest = generate_stream(cfg, out)
-    except ValueError as exc:
-        _fail(str(exc))
+    manifest = generate_stream(SynthConfig(**values), out)
     click.echo(
         f"wrote {manifest.num_frames} frames "
         f"({manifest.height}x{manifest.width}, c={manifest.num_classes}, "
@@ -124,16 +115,13 @@ def synth_cmd(out, config, **overrides):
 @click.option("--no-gt", is_flag=True, help="skip ground-truth quality targets")
 def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, no_gt):
     """Compute per-segment dispersion/stability features (and quality targets)."""
-    manifest = _load_manifest(manifest_path)
+    manifest = read_manifest(manifest_path)
     if not 0 <= num_stability <= manifest.num_blocks - 1:
         _fail(
             f"--m must be in [0, {manifest.num_blocks - 1}] for this stream, "
             f"got {num_stability}"
         )
-    try:
-        track_table = read_tracking_csv(tracking_path) if tracking_path else None
-    except ValueError as exc:
-        _fail(str(exc))
+    track_table = read_tracking_csv(tracking_path) if tracking_path else None
     rows_by_frame = process_stream(manifest, num_stability, with_gt=not no_gt)
     if track_table is not None:
         apply_tracking(rows_by_frame, track_table)
@@ -150,8 +138,10 @@ def extract_cmd(manifest_path, out, num_stability, tracking_path, segments_csv, 
 @_tracking_options
 def track_cmd(manifest_path, out, c_near, c_over, c_dist, c_lin, window):
     """Assign persistent track ids across the stream (labels and segments only)."""
-    manifest = _load_manifest(manifest_path)
-    params = _params_from(c_near, c_over, c_dist, c_lin, window)
+    manifest = read_manifest(manifest_path)
+    params = TrackingParams(
+        c_near=c_near, c_over=c_over, c_dist=c_dist, c_lin=c_lin, history_window=window
+    )
     shape = (manifest.height, manifest.width)
     tracks = track_stream(stream_segments(manifest), params, shape)
     write_tracking_csv(tracks, out)
@@ -171,19 +161,12 @@ def dataset_cmd(
     features_path, tracking_path, out, header_path, num_classes, num_stability, history
 ):
     """Assemble per-segment time-series records from feature and tracking CSVs."""
-    try:
-        rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
-        if tracking_path:
-            apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
-    except ValueError as exc:
-        _fail(str(exc))
+    rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
+    if tracking_path:
+        apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
     if not tracking_path and history > 0:
         _fail("--tracking is required when --history > 0")
-    try:
-        # called by this name: perfbench/tracing.py times cli.assemble_dataset
-        table = assemble_dataset(rows_by_frame, history, num_classes, num_stability)
-    except ValueError as exc:
-        _fail(str(exc))
+    table = assemble_dataset(rows_by_frame, history, num_classes, num_stability)
     write_dataset(table, out, header_path)
     click.echo(f"wrote {len(table)} records to {out}")
 
@@ -217,15 +200,10 @@ def train_cmd(
     are those of eval's run r.  The model file also records the input layout
     and the standardizer.
     """
-    try:
-        spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
-        table = read_dataset(dataset_path, header_path)
-        split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
-        model, test, (mean, std) = fit_split(
-            table, spec, num_stability, split_spec, run
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
+    table = read_dataset(dataset_path, header_path)
+    split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
+    model, test, (mean, std) = fit_split(table, spec, num_stability, split_spec, run)
     model.metadata["inputs"] = {
         "num_stability": num_stability,
         "history": table.history,
@@ -302,10 +280,7 @@ def eval_cmd(
     no_baselines,
 ):
     """Run the experiment grid and emit a mean/std report (JSON and CSV)."""
-    try:
-        split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
-    except ValueError as exc:
-        _fail(str(exc))
+    split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
     family_list = [f.strip() for f in families.split(",") if f.strip()]
     task_list = [t.strip() for t in tasks.split(",") if t.strip()]
     if grid is not None:
@@ -331,28 +306,22 @@ def eval_cmd(
             t_list = [int(v) for v in t_values.split(",") if v.strip()]
         except ValueError:
             _fail(f"--t-values must be integers, got {t_values!r}")
-        try:
-            rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
-            apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
-            report = run_time_series_experiment(
-                rows_by_frame,
-                num_classes,
-                num_stability,
-                t_list,
-                family_list,
-                task_list,
-                split_spec,
-                workers=threads,
-            )
-        except ValueError as exc:
-            _fail(str(exc))
+        rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
+        apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
+        report = run_time_series_experiment(
+            rows_by_frame,
+            num_classes,
+            num_stability,
+            t_list,
+            family_list,
+            task_list,
+            split_spec,
+            workers=threads,
+        )
     else:
         if dataset_path is None or header_path is None:
             _fail("--dataset and --header are required")
-        try:
-            table = read_dataset(dataset_path, header_path)
-        except ValueError as exc:
-            _fail(str(exc))
+        table = read_dataset(dataset_path, header_path)
         if grid == "single-frame":
             if table.history != 0:
                 _fail("the single-frame grid needs a dataset built with history 0")
@@ -362,18 +331,15 @@ def eval_cmd(
                 m_list = [int(v) for v in m_values.split(",") if v.strip()]
             except ValueError:
                 _fail(f"--m-values must be integers, got {m_values!r}")
-        try:
-            report = run_experiment(
-                table,
-                family_list,
-                task_list,
-                m_list,
-                split_spec,
-                include_baselines=not no_baselines,
-                workers=threads,
-            )
-        except ValueError as exc:
-            _fail(str(exc))
+        report = run_experiment(
+            table,
+            family_list,
+            task_list,
+            m_list,
+            split_spec,
+            include_baselines=not no_baselines,
+            workers=threads,
+        )
     report.save_json(f"{out_prefix}.json")
     report.save_csv(f"{out_prefix}.csv")
     click.echo(f"wrote report to {out_prefix}.json and {out_prefix}.csv")

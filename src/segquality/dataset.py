@@ -14,20 +14,16 @@ import numpy as np
 from .seg_metrics import FeatureRows, feature_count, feature_names
 
 MAX_HISTORY = 10
+SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # train, val, test
 
 
 @dataclass
 class SplitSpec:
-    fractions: tuple[float, float, float] = (0.70, 0.10, 0.20)
     sample_size: int | None = None
     runs: int = 10
     base_seed: int = 0
 
     def __post_init__(self):
-        if len(self.fractions) != 3 or abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {self.fractions}")
-        if min(self.fractions) <= 0:
-            raise ValueError("fractions must be positive")
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.runs < 1:
@@ -164,8 +160,8 @@ def split_indices(n: int, spec: SplitSpec, run: int):
         raise ValueError(f"sample_size {take} exceeds dataset size {n}")
     rng = np.random.default_rng([spec.base_seed, run])
     perm = rng.permutation(n)[:take]
-    n_train = int(round(spec.fractions[0] * take))
-    n_val = int(round(spec.fractions[1] * take))
+    n_train = int(round(SPLIT_FRACTIONS[0] * take))
+    n_val = int(round(SPLIT_FRACTIONS[1] * take))
     train = perm[:n_train]
     val = perm[n_train : n_train + n_val]
     test = perm[n_train + n_val :]
@@ -331,7 +327,7 @@ def check_finite_columns(values: np.ndarray, path, names) -> None:
         )
 
 
-def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
+def write_dataset(table: MetaRecordTable, csv_path, header_path) -> None:
     """Serialize a record table as CSV (one row per record) plus a JSON header."""
     blocks = [
         np.stack([table.frames, table.components, table.track_ids], axis=1),
@@ -345,10 +341,9 @@ def write_dataset(table: MetaRecordTable, csv_path, header_path=None) -> None:
         # 32 rows at a time: a T = 10 row holds about a thousand values
         ([b[i : i + 32] for b in blocks] for i in range(0, len(table), 32)),
     )
-    if header_path is not None:
-        with open(header_path, "w", encoding="utf-8") as fh:
-            json.dump(dataset_header(table), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(header_path, "w", encoding="utf-8") as fh:
+        json.dump(dataset_header(table), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_dataset(csv_path, header_path) -> MetaRecordTable:

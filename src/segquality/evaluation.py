@@ -19,13 +19,13 @@ REGRESSION_METRICS = ("sigma", "r2")
 HIGHER_IS_BETTER = {"acc": True, "auroc": True, "sigma": False, "r2": True}
 
 
-def accuracy(labels, scores, threshold: float = 0.5) -> float:
-    """Fraction of (score >= threshold) decisions that equal the labels."""
+def accuracy(labels, scores) -> float:
+    """Fraction of (score >= 0.5) decisions that equal the labels."""
     labels = np.asarray(labels)
     scores = np.asarray(scores)
     if len(labels) != len(scores) or len(labels) == 0:
         raise ValueError("labels and scores must be equal-length and non-empty")
-    return float(((scores >= threshold).astype(int) == labels).mean())
+    return float(((scores >= 0.5).astype(int) == labels).mean())
 
 
 def auroc(labels, scores) -> float:

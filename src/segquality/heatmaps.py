@@ -7,12 +7,12 @@ import numpy as np
 SOFTMAX_TOL = 1e-5
 
 
-def _class_major(probs, tol: float = SOFTMAX_TOL) -> np.ndarray:
+def _class_major(probs) -> np.ndarray:
     """Validate a (H, W, c) softmax frame; return it renormalized as (c, H*W).
 
     The frame must be finite and non-negative, with c >= 2 classes and every
-    pixel's float64 sum within `tol` of 1.  The returned float64 array holds
-    each pixel's probabilities divided by that sum.
+    pixel's float64 sum within `SOFTMAX_TOL` of 1.  The returned float64
+    array holds each pixel's probabilities divided by that sum.
     """
     probs = np.asarray(probs)
     if probs.ndim != 3:
@@ -27,8 +27,10 @@ def _class_major(probs, tol: float = SOFTMAX_TOL) -> np.ndarray:
     if p.min() < 0:
         raise ValueError("softmax frame has negative probabilities")
     err = np.abs(sums - 1.0).max()
-    if err > tol:
-        raise ValueError(f"softmax rows deviate from sum 1 by {err:.3g} (tol {tol:g})")
+    if err > SOFTMAX_TOL:
+        raise ValueError(
+            f"softmax rows deviate from sum 1 by {err:.3g} (tol {SOFTMAX_TOL:g})"
+        )
     p /= sums
     return p
 
@@ -62,24 +64,17 @@ def dispersion_heatmaps(probs: np.ndarray) -> np.ndarray:
     return out.reshape((3,) + np.shape(probs)[:2])
 
 
-def build_cell_state_stack(blocks: np.ndarray) -> np.ndarray:
-    """Validate a (H, W, l) stack of per-block mean states.
-
-    Returns a float64 (H, W, l) view of a blocks-first (l, H, W) array, so
-    each block's map is contiguous.
-    """
-    by_block = np.moveaxis(blocks, 2, 0).astype(np.float64, order="C")
-    if len(by_block) < 2:
-        raise ValueError(f"cell state stack needs >= 2 blocks, got {len(by_block)}")
-    if not np.isfinite(by_block).all():
-        raise ValueError("cell state stack has non-finite values")
-    return np.moveaxis(by_block, 0, 2)
-
-
 def stability_heatmaps(stack: np.ndarray) -> np.ndarray:
     """(l - 1, H, W): absolute difference between the first block's mean state
-    and each later one."""
-    blocks = np.moveaxis(build_cell_state_stack(stack), 2, 0)
-    rest = blocks[1:]  # the stack is a fresh array, so it is reused for the maps
+    and each later one, from a finite (H, W, l) stack of l >= 2 per-block
+    mean states."""
+    # a fresh float64 blocks-first copy: each block's map is contiguous, and
+    # the copy is reused for the maps
+    blocks = np.moveaxis(stack, 2, 0).astype(np.float64, order="C")
+    if len(blocks) < 2:
+        raise ValueError(f"cell state stack needs >= 2 blocks, got {len(blocks)}")
+    if not np.isfinite(blocks).all():
+        raise ValueError("cell state stack has non-finite values")
+    rest = blocks[1:]
     np.subtract(blocks[0], rest, out=rest)
     return np.abs(rest, out=rest)

@@ -97,11 +97,8 @@ class TrainedModel:
             fh.write("\n")
 
 
-def spec_metadata(spec: ModelSpec, extra: dict | None = None) -> dict:
-    meta = {"spec": asdict(spec)}
-    if extra:
-        meta.update(extra)
-    return meta
+def spec_metadata(spec: ModelSpec, extra: dict) -> dict:
+    return {"spec": asdict(spec), **extra}
 
 
 def load_model(path) -> TrainedModel:

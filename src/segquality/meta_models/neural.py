@@ -406,33 +406,29 @@ class RecurrentNetModel(_NetworkModel):
         return {"hidden": self.core.hidden, **super().params_dict()}
 
 
-def _train_network(core_cls, train, val, spec: ModelSpec, initial_params, *core_args):
+def _train_network(core_cls, train, val, spec: ModelSpec, *core_args):
     """Fit a core on (inputs..., y) splits; returns its parameters and metadata.
 
-    The rng draws the initial parameters (unless given), then the epoch
-    permutations.  `core_args` follow (params, task) in the core's constructor.
+    The rng draws the initial parameters, then the epoch permutations.
+    `core_args` follow (params, task) in the core's constructor.
     """
     *inputs, y = (np.asarray(a, dtype=np.float64) for a in train)
     *val_inputs, y_val = (np.asarray(a, dtype=np.float64) for a in val)
     rng = np.random.default_rng(spec.seed)
-    params = (
-        core_cls.init_params(inputs[0].shape[-1], spec.hidden_units, rng)
-        if initial_params is None
-        else {k: np.array(v, dtype=np.float64) for k, v in initial_params.items()}
-    )
+    params = core_cls.init_params(inputs[0].shape[-1], spec.hidden_units, rng)
     core = core_cls(params, spec.task, *core_args)
     meta = _train_loop(core, inputs, y, val_inputs, y_val, spec, rng)
     return core.params, spec_metadata(spec, meta)
 
 
-def train_nn(train, val, spec: ModelSpec, initial_params: dict | None = None):
-    params, meta = _train_network(_FeedForwardCore, train, val, spec, initial_params)
+def train_nn(train, val, spec: ModelSpec):
+    params, meta = _train_network(_FeedForwardCore, train, val, spec)
     return ShallowNetModel(spec.task, params, meta)
 
 
-def train_lstm(train, val, spec: ModelSpec, initial_params: dict | None = None):
+def train_lstm(train, val, spec: ModelSpec):
     hidden = spec.hidden_units
-    params, meta = _train_network(_RecurrentCore, train, val, spec, initial_params, hidden)
+    params, meta = _train_network(_RecurrentCore, train, val, spec, hidden)
     return RecurrentNetModel(spec.task, params, hidden, meta)
 
 

@@ -7,12 +7,7 @@ import warnings
 import numpy as np
 
 from . import heatmaps, seg_metrics, segmentation
-from .dataset import (
-    build_time_series,
-    check_finite_columns,
-    read_csv,
-    write_csv,
-)
+from .dataset import check_finite_columns, read_csv, write_csv
 from .seg_metrics import FeatureRows, feature_names
 from .tensor_io import StreamManifest
 
@@ -44,9 +39,7 @@ def extract_frame(
         maps = np.concatenate([maps, stability[:num_stability]])
     features = seg_metrics.frame_features(segments, maps, softmax)
     if gt_labels is not None:
-        ious = seg_metrics.frame_adjusted_iou(
-            segments, gt_labels, segmentation.label_components(gt_labels)
-        )
+        ious = seg_metrics.frame_adjusted_iou(segments, gt_labels)
     else:
         ious = np.full(len(segments), np.nan)
     n = len(segments)
@@ -79,7 +72,13 @@ def process_stream(
             manifest.load_cell_state(frame_index) if num_stability > 0 else None
         )
         gt = manifest.load_ground_truth(frame_index) if with_gt else None
-        _, rows = extract_frame(softmax, cell_stack, gt, frame_index, num_stability)
+        try:
+            _, rows = extract_frame(softmax, cell_stack, gt, frame_index, num_stability)
+        except ValueError as exc:
+            # the loaders checked shapes, finiteness and labels; what is left
+            # to refuse is the softmax's content (a negative value, a bad sum)
+            path = manifest.path(frame_index, "softmax")
+            raise ValueError(f"{path}: {exc}") from None
         rows_by_frame.append(rows)
     return rows_by_frame
 
@@ -89,10 +88,6 @@ def stream_segments(manifest: StreamManifest):
     for frame_index in range(manifest.num_frames):
         labels = heatmaps.predicted_labels(manifest.load_softmax(frame_index))
         yield segmentation.connected_components(labels)
-
-
-# Kept by name only: perfbench/tracing.py wraps `cli.assemble_dataset`.
-assemble_dataset = build_time_series
 
 
 FEATURE_CSV_META = ("frame", "component", "class", "track_id", "iou_adj")

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segmentation import FrameSegments, label_components
+from . import segmentation
+from .segmentation import FrameSegments
 
 BASE_FEATURE_COUNT = 22  # 5 sizes + 2 center + 3 dispersions x 5 aggregates
 STABILITY_FEATURE_COUNT = 5
@@ -123,18 +124,13 @@ def assemble_features(
     return frame_features(segments, heatmap_stack, softmax)[index]
 
 
-def frame_adjusted_iou(
-    segments: FrameSegments,
-    gt_labels: np.ndarray,
-    gt_components: np.ndarray | None = None,
-) -> np.ndarray:
+def frame_adjusted_iou(segments: FrameSegments, gt_labels: np.ndarray) -> np.ndarray:
     """Adjusted IoU of every segment of a frame at once.
 
     Segment i is scored against the union of the same-class ground-truth
     components it intersects (0 when it intersects none), read off one
     predicted x ground-truth overlap table.  All counts are integers, so each
-    value is the correctly rounded ratio.  `gt_components` may carry a
-    precomputed `label_components(gt_labels)`.
+    value is the correctly rounded ratio.
     """
     gt_labels = np.asarray(gt_labels)
     if gt_labels.shape != segments.comp_map.shape:
@@ -142,10 +138,9 @@ def frame_adjusted_iou(
             f"ground truth {gt_labels.shape} must have the prediction's shape "
             f"{segments.comp_map.shape}"
         )
-    if gt_components is None:
-        gt_components = label_components(gt_labels)
     pred = segments.comp_map.ravel()
-    gt = gt_components.ravel()
+    # the module attribute, so a tracer that wraps it sees the labeling
+    gt = segmentation.label_components(gt_labels).ravel()
     n_pred = len(segments)
     n_gt = int(gt.max()) + 1
     # Nonzero cells of the overlap table, over the pixels whose predicted
@@ -165,14 +160,9 @@ def frame_adjusted_iou(
 
 
 # Kept by name only: perfbench/tracing.py wraps it.
-def adjusted_iou(
-    segments: FrameSegments,
-    index: int,
-    gt_labels: np.ndarray,
-    gt_components: np.ndarray | None = None,
-) -> float:
+def adjusted_iou(segments: FrameSegments, index: int, gt_labels: np.ndarray) -> float:
     """Adjusted IoU of segment `index`: entry `index` of `frame_adjusted_iou`."""
-    return float(frame_adjusted_iou(segments, gt_labels, gt_components)[index])
+    return float(frame_adjusted_iou(segments, gt_labels)[index])
 
 
 # One row of a `FeatureRows` record, read-only.

@@ -45,8 +45,9 @@ def write_tensor(path, values) -> None:
         fh.write(arr.data)
 
 
-def read_tensor(path, expected_shape=None) -> np.ndarray:
-    """Read a tensor file, validating header, payload size, and finiteness.
+def read_tensor(path, expected_shape) -> np.ndarray:
+    """Read a tensor file, validating header, payload size, finiteness and
+    shape.
 
     Returns the stored float32 array (bit-exact round trip with write_tensor).
     """
@@ -79,7 +80,7 @@ def read_tensor(path, expected_shape=None) -> np.ndarray:
     if not finite.all():
         idx = tuple(int(v) for v in np.unravel_index(int(np.argmax(~finite)), shape))
         raise TensorFormatError(f"{path}: non-finite value at index {idx}")
-    if expected_shape is not None and tuple(shape) != tuple(expected_shape):
+    if tuple(shape) != tuple(expected_shape):
         raise TensorFormatError(
             f"{path}: shape mismatch, expected {tuple(expected_shape)}, got {shape}"
         )
@@ -147,7 +148,7 @@ class StreamManifest:
             )
         return labels
 
-    def validate(self, check_files: bool = True) -> None:
+    def validate(self) -> None:
         if self.height < 3:
             raise ManifestError(f"height < 3 (got {self.height})")
         if self.width < 3:
@@ -167,8 +168,6 @@ class StreamManifest:
                 f"class_names: expected {self.num_classes} names, "
                 f"got {len(self.class_names)}"
             )
-        if not check_files:
-            return
         shapes = {
             "softmax": self.softmax_shape,
             "cell_state": self.cell_state_shape,

@@ -12,10 +12,10 @@ import pytest
 
 import oracles
 from segquality import heatmaps
-from segquality.dataset import SplitSpec
+from segquality.dataset import SplitSpec, build_time_series
 from segquality.evaluation import auroc, naive_baseline_accuracy, run_experiment
 from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore
-from segquality.pipeline import assemble_dataset, process_stream, stream_segments
+from segquality.pipeline import process_stream, stream_segments
 from segquality.seg_metrics import (
     BASE_FEATURE_COUNT,
     ENTROPY_MEAN_INDEX,
@@ -315,7 +315,7 @@ def test_criterion_6_auroc_equivalence():
 def test_criterion_7_end_to_end_signal_recovery(default_stream):
     start = time.time()
     manifest, rows_by_frame, _ = default_stream
-    table = assemble_dataset(rows_by_frame, 0, manifest.num_classes, 9)
+    table = build_time_series(rows_by_frame, 0, manifest.num_classes, 9)
     assert len(table) >= 2000  # one record per segment with an interior
     split_spec = SplitSpec(runs=10, base_seed=0)
 

@@ -1,5 +1,7 @@
 import json
 import re
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from segquality.dataset import SplitSpec, read_dataset, split_indices
 from segquality.evaluation import fit_split
 from segquality.meta_models import ModelSpec, load_model
 from segquality.seg_metrics import feature_names
+from segquality.synth import SynthConfig, generate_stream
+from segquality.tensor_io import HEADER_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -609,3 +613,58 @@ def test_eval_checks_every_t_before_fitting(runner, pipeline_dir, tmp_path, monk
     assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
     assert result.output == "Error: history must be in [0, 10], got 11\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def clean_stream(tmp_path_factory):
+    out = tmp_path_factory.mktemp("clean") / "stream"
+    generate_stream(SynthConfig(num_frames=4, seed=1), out)
+    return out
+
+
+def _first_value(value):
+    """Corruption that writes `value` over a tensor file's first payload value."""
+
+    def corrupt(data):
+        data[HEADER_SIZE : HEADER_SIZE + 4] = struct.pack("<f", value)
+        return data
+
+    return corrupt
+
+
+def _rescaled(data):
+    payload = np.frombuffer(bytes(data), "<f4", offset=HEADER_SIZE) * np.float32(0.9)
+    return data[:HEADER_SIZE] + payload.astype("<f4").tobytes()
+
+
+_NON_FINITE = r"non-finite value at index \(0, 0, 0\)"
+
+
+@pytest.mark.parametrize(
+    "command, name, corrupt, message",
+    [
+        ("track", "frame_00002_softmax", _first_value(float("nan")), _NON_FINITE),
+        ("extract", "frame_00002_softmax", _first_value(float("nan")), _NON_FINITE),
+        ("extract", "frame_00003_gt", _first_value(2.5), r"non-integral label at \(0, 0\)"),
+        ("extract", "frame_00001_softmax", _rescaled, r"softmax rows deviate from sum 1 by 0\.1 .*"),
+    ],
+    ids=["track-nan", "extract-nan", "extract-gt", "extract-sum"],
+)
+def test_corrupt_frame_is_a_one_line_error(
+    runner, clean_stream, tmp_path, command, name, corrupt, message
+):
+    """A frame that passes the manifest's size checks but holds a NaN, a
+    non-integral label or rows that do not sum to 1 ends the stage with one
+    line naming the file, not a traceback."""
+    stream = tmp_path / "stream"
+    shutil.copytree(clean_stream, stream)
+    path = stream / f"{name}.tmsg"
+    path.write_bytes(bytes(corrupt(bytearray(path.read_bytes()))))
+    out = tmp_path / "out.csv"
+    result = runner.invoke(
+        main, [command, "--manifest", str(stream / "manifest.json"), "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert re.fullmatch(f"Error: {re.escape(str(path))}: {message}\n", result.output)
+    assert not out.exists()

@@ -200,8 +200,9 @@ def test_binary_label_is_iou_zero_indicator():
 def test_flat_inputs_layout_and_masks():
     rows = _stream([_row(t, 0, 3, 0.5 * (t % 2)) for t in range(8)])
     table = build_time_series(rows, history=2, num_classes=3, num_stability=2)
-    spec = SplitSpec(fractions=(0.5, 0.25, 0.25))
+    spec = SplitSpec()
     parts_idx = split_indices(len(table), spec, 0)
+    assert [len(idx) for idx in parts_idx] == [6, 1, 1]
     flat_spec = ModelSpec("linear", "regression")
     dim = feature_count(3, 2)
     flat = table.features.reshape(len(table), -1)
@@ -275,8 +276,6 @@ def test_split_insufficient_records():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        SplitSpec(fractions=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError, match="runs"):
         SplitSpec(runs=0)
     for size in (0, -5):

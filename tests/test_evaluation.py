@@ -18,7 +18,7 @@ from segquality.seg_metrics import ENTROPY_MEAN_INDEX, FeatureRows, feature_coun
 def test_accuracy_examples():
     assert accuracy([1, 0, 1], [0.9, 0.1, 0.8]) == 1.0
     assert accuracy([1, 0], [0.1, 0.9]) == 0.0
-    assert accuracy([1, 0, 1, 0], [0.9, 0.2, 0.4, 0.6], 0.5) == 0.5
+    assert accuracy([1, 0, 1, 0], [0.9, 0.2, 0.4, 0.6]) == 0.5
 
 
 def test_accuracy_empty_raises():

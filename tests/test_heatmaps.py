@@ -204,10 +204,10 @@ def test_build_cell_state_stack_raw_and_reduced_agree():
     rng = np.random.default_rng(7)
     raw_blocks = [rng.standard_normal((3, 4, 6)) for _ in range(3)]
     reduced = np.stack([b.mean(axis=2) for b in raw_blocks], axis=2)
-    from_raw = heatmaps.build_cell_state_stack(
+    from_raw = heatmaps.stability_heatmaps(
         np.stack([oracles.mean_cell_state(b) for b in raw_blocks], axis=2)
     )
-    from_reduced = heatmaps.build_cell_state_stack(reduced)
+    from_reduced = heatmaps.stability_heatmaps(reduced)
     assert np.allclose(from_raw, from_reduced, atol=1e-12)
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from segquality.dataset import write_dataset
+from segquality.dataset import build_time_series, write_dataset
 from segquality.pipeline import (
     apply_tracking,
-    assemble_dataset,
     extract_frame,
     process_stream,
     read_feature_csv,
@@ -150,7 +149,7 @@ def test_tracking_csv_round_trip_and_apply(small_stream, tmp_path):
 def test_assemble_dataset_feature_length_contract(small_stream):
     rows_by_frame, _ = tracked_stream(small_stream, 3)
     for history in (0, 2):
-        table = assemble_dataset(rows_by_frame, history, small_stream.num_classes, 3)
+        table = build_time_series(rows_by_frame, history, small_stream.num_classes, 3)
         expected_dim = 22 + small_stream.num_classes + 5 * 3
         assert table.features.shape[1:] == (history + 1, expected_dim)
         assert table.flat_features(3).shape[1] == (history + 1) * expected_dim
@@ -166,7 +165,7 @@ def test_rerun_produces_identical_artifacts(small_stream, tmp_path):
             rows_by_frame, tmp_path / f"f_{tag}.csv", small_stream.num_classes, 2
         )
         write_tracking_csv(tracks, tmp_path / f"t_{tag}.csv")
-        table = assemble_dataset(rows_by_frame, 2, small_stream.num_classes, 2)
+        table = build_time_series(rows_by_frame, 2, small_stream.num_classes, 2)
         write_dataset(table, tmp_path / f"d_{tag}.csv", tmp_path / f"d_{tag}.json")
     for name in ("f", "t", "d"):
         assert (tmp_path / f"{name}_x.csv").read_bytes() == (

@@ -32,10 +32,10 @@ def test_round_trip_bit_exact_random(tmp_path):
     path = tmp_path / "t.tmsg"
     values = rng.standard_normal((5, 7, 3)).astype(np.float32)
     write_tensor(path, values)
-    assert np.array_equal(read_tensor(path), values)
+    assert np.array_equal(read_tensor(path, (5, 7, 3)), values)
     # writing the read-back values reproduces the file byte for byte
     path2 = tmp_path / "t2.tmsg"
-    write_tensor(path2, read_tensor(path))
+    write_tensor(path2, read_tensor(path, (5, 7, 3)))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -54,7 +54,7 @@ def test_read_rejects_nan(tmp_path):
     header = struct.pack("<4sHHIII", b"TMSG", 1, 2, 2, 2, 1)
     path.write_bytes(header + values.tobytes())
     with pytest.raises(TensorFormatError, match=r"non-finite.*\(1, 0\)"):
-        read_tensor(path)
+        read_tensor(path, (2, 2))
 
 
 def test_read_rejects_wrong_shape(tmp_path):
@@ -64,6 +64,18 @@ def test_read_rejects_wrong_shape(tmp_path):
         read_tensor(path, (4, 3))
 
 
+def test_flipped_ndim_field_is_refused(tmp_path):
+    """A 2-D file whose ndim field reads 3 is a valid (h, w, 1) header with
+    the right payload size; the required shape refuses it."""
+    path = tmp_path / "t.tmsg"
+    write_tensor(path, np.zeros((3, 4), dtype=np.float32))
+    data = bytearray(path.read_bytes())
+    data[6] ^= 1  # ndim 2 -> 3
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFormatError, match=r"expected \(3, 4\), got \(3, 4, 1\)"):
+        read_tensor(path, (3, 4))
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "t.tmsg"
     write_tensor(path, np.zeros((2, 2), dtype=np.float32))
@@ -71,7 +83,7 @@ def test_read_rejects_bad_magic(tmp_path):
     data[:4] = b"XXXX"
     path.write_bytes(bytes(data))
     with pytest.raises(TensorFormatError, match="magic"):
-        read_tensor(path)
+        read_tensor(path, (2, 2))
 
 
 def test_read_rejects_truncated_payload(tmp_path):
@@ -80,7 +92,7 @@ def test_read_rejects_truncated_payload(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-4])
     with pytest.raises(TensorFormatError, match="payload size mismatch"):
-        read_tensor(path)
+        read_tensor(path, (4, 4, 2))
 
 
 def _write_stream(tmp_path, h=4, w=4, c=2, blocks=2, frames=1):
@@ -168,12 +180,11 @@ def _assert_rejected(path, data, shape):
 @pytest.mark.parametrize("shape", [(6, 5), (4, 7, 3)], ids=["2d", "3d"])
 def test_seeded_corruptions_are_one_line_errors(tmp_path, shape):
     """Flipped header bits, truncations and non-finite payload values, each
-    read with the expected shape as the stream loaders read them (a 2-D file
-    whose ndim reads 3 holds a valid (h, w, 1) tensor; only the shape check
-    can refuse it)."""
+    read with the expected shape, which every read passes."""
     rng = np.random.default_rng(19)
     good = tmp_path / "good.tmsg"
-    write_tensor(good, rng.standard_normal(shape))
+    values = rng.standard_normal(shape)
+    write_tensor(good, values)
     original = good.read_bytes()
     path = tmp_path / "bad.tmsg"
     for start, end in _HEADER_FIELDS:
@@ -190,4 +201,4 @@ def test_seeded_corruptions_are_one_line_errors(tmp_path, shape):
             offset = HEADER_SIZE + 4 * int(index)
             data[offset : offset + 4] = struct.pack("<f", float(value))
             _assert_rejected(path, data, shape)
-    assert np.array_equal(read_tensor(good, shape), read_tensor(good))
+    assert np.array_equal(read_tensor(good, shape), values.astype(np.float32))
