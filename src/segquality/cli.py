@@ -92,7 +92,9 @@ def synth_cmd(out, config, **overrides):
     values = {}
     if config:
         with open(config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            _fail(f"{config}: the synth config must be a JSON object")
     values.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in dataclasses.fields(SynthConfig)}
     unknown = set(values) - known

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -14,8 +16,8 @@ from .dataset import MetaRecordTable, SplitSpec, split_indices, standardize
 from .meta_models import ModelSpec, train_model
 from .seg_metrics import ENTROPY_MEAN_INDEX
 
-CLASSIFICATION_METRICS = ("acc", "auroc")
-REGRESSION_METRICS = ("sigma", "r2")
+# read by numpy's BLAS when a pool worker imports it
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HIGHER_IS_BETTER = {"acc": True, "auroc": True, "sigma": False, "r2": True}
 
 
@@ -287,11 +289,23 @@ def run_experiment(
         for run in range(split_spec.runs)
     ]
     if workers > 1:
-        # the table goes to each worker once, not with every job
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_pool_worker, initargs=(table,)
-        ) as pool:
-            outcomes = list(pool.map(_pool_grid_job, jobs))
+        # the table goes to each worker once, not with every job; each worker
+        # is a fresh process started with one BLAS thread, so the workers do
+        # not share the cores with BLAS thread pools of their own
+        saved = {k: v for k, v in os.environ.items() if k in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_pool_worker,
+                initargs=(table,),
+            ) as pool:
+                outcomes = list(pool.map(_pool_grid_job, jobs))
+        finally:
+            for name in _BLAS_THREAD_VARS:
+                del os.environ[name]
+            os.environ.update(saved)
     else:
         outcomes = [_grid_job(table, job) for job in jobs]
 

@@ -11,13 +11,18 @@ segments, so the stability heatmaps contain error signal by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
 
 from .tensor_io import FrameFiles, StreamManifest, write_manifest, write_tensor
+
+
+def _is_number(value, number_type) -> bool:
+    return isinstance(value, number_type) and not isinstance(value, bool)
 
 
 @dataclass
@@ -52,6 +57,18 @@ class SynthConfig:
         self.validate()
 
     def validate(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                ok, kind = _is_number(value, numbers.Integral), "an integer"
+            elif field.type == "float":
+                ok, kind = _is_number(value, numbers.Real), "a number"
+            else:  # a (low, high) pair
+                ok = isinstance(value, (tuple, list)) and len(value) == 2
+                ok = ok and all(_is_number(v, numbers.Real) for v in value)
+                kind = "a pair of numbers"
+            if not ok:
+                raise ValueError(f"{field.name} must be {kind}, got {value!r}")
         if self.height < 3 or self.width < 3:
             raise ValueError("frame dimensions must be >= 3")
         if self.num_classes < 2:

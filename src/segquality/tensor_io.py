@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -96,6 +97,9 @@ class FrameFiles:
     ground_truth: str
 
 
+FRAME_KINDS = tuple(field.name for field in dataclasses.fields(FrameFiles))
+
+
 @dataclass
 class StreamManifest:
     """Validated description of an on-disk segmentation stream."""
@@ -109,31 +113,24 @@ class StreamManifest:
     class_names: list[str] | None = None
     base_dir: str = "."
 
-    @property
-    def softmax_shape(self):
-        return (self.height, self.width, self.num_classes)
-
-    @property
-    def cell_state_shape(self):
-        return (self.height, self.width, self.num_blocks)
-
-    @property
-    def label_shape(self):
-        return (self.height, self.width)
+    def shape(self, kind: str) -> tuple[int, ...]:
+        """Payload shape of a frame's tensor of `kind`, a `FrameFiles` field."""
+        depth = {"softmax": (self.num_classes,), "cell_state": (self.num_blocks,)}
+        return (self.height, self.width) + depth.get(kind, ())
 
     def path(self, frame: int, kind: str) -> str:
         rel = getattr(self.frames[frame], kind)
         return os.path.join(self.base_dir, rel)
 
     def load_softmax(self, frame: int) -> np.ndarray:
-        return read_tensor(self.path(frame, "softmax"), self.softmax_shape)
+        return read_tensor(self.path(frame, "softmax"), self.shape("softmax"))
 
     def load_cell_state(self, frame: int) -> np.ndarray:
-        return read_tensor(self.path(frame, "cell_state"), self.cell_state_shape)
+        return read_tensor(self.path(frame, "cell_state"), self.shape("cell_state"))
 
     def load_ground_truth(self, frame: int) -> np.ndarray:
         """Load a label frame, checking integrality and class range."""
-        arr = read_tensor(self.path(frame, "ground_truth"), self.label_shape)
+        arr = read_tensor(self.path(frame, "ground_truth"), self.shape("ground_truth"))
         rounded = np.rint(arr)
         if not np.array_equal(arr, rounded):
             idx = tuple(int(v) for v in np.unravel_index(int(np.argmax(arr != rounded)), arr.shape))
@@ -149,16 +146,11 @@ class StreamManifest:
         return labels
 
     def validate(self) -> None:
-        if self.height < 3:
-            raise ManifestError(f"height < 3 (got {self.height})")
-        if self.width < 3:
-            raise ManifestError(f"width < 3 (got {self.width})")
-        if self.num_classes < 2:
-            raise ManifestError(f"num_classes < 2 (got {self.num_classes})")
-        if self.num_blocks < 2:
-            raise ManifestError(f"num_blocks < 2 (got {self.num_blocks})")
-        if self.num_frames < 1:
-            raise ManifestError(f"num_frames < 1 (got {self.num_frames})")
+        for name, low in (
+            ("height", 3), ("width", 3), ("num_classes", 2), ("num_blocks", 2), ("num_frames", 1)
+        ):
+            if getattr(self, name) < low:
+                raise ManifestError(f"{name} < {low} (got {getattr(self, name)})")
         if len(self.frames) != self.num_frames:
             raise ManifestError(
                 f"frames: expected {self.num_frames} entries, got {len(self.frames)}"
@@ -168,14 +160,9 @@ class StreamManifest:
                 f"class_names: expected {self.num_classes} names, "
                 f"got {len(self.class_names)}"
             )
-        shapes = {
-            "softmax": self.softmax_shape,
-            "cell_state": self.cell_state_shape,
-            "ground_truth": self.label_shape,
-        }
         for i in range(self.num_frames):
-            for kind, shape in shapes.items():
-                path = self.path(i, kind)
+            for kind in FRAME_KINDS:
+                path, shape = self.path(i, kind), self.shape(kind)
                 if not os.path.isfile(path):
                     raise ManifestError(f"frames[{i}].{kind}: missing file {path}")
                 want = tensor_file_size(shape)
@@ -210,12 +197,10 @@ def read_manifest(path) -> StreamManifest:
     for i, entry in enumerate(raw_frames):
         if not isinstance(entry, dict):
             raise ManifestError(f"frames[{i}]: not an object")
-        for key in ("softmax", "cell_state", "ground_truth"):
+        for key in FRAME_KINDS:
             if not isinstance(entry.get(key), str):
                 raise ManifestError(f"frames[{i}].{key}: missing or not a string")
-        frames.append(
-            FrameFiles(entry["softmax"], entry["cell_state"], entry["ground_truth"])
-        )
+        frames.append(FrameFiles(*(entry[key] for key in FRAME_KINDS)))
     class_names = doc.get("class_names")
     if class_names is not None and (
         not isinstance(class_names, list)
@@ -244,14 +229,7 @@ def write_manifest(manifest: StreamManifest, path) -> None:
         "num_classes": manifest.num_classes,
         "num_blocks": manifest.num_blocks,
         "num_frames": manifest.num_frames,
-        "frames": [
-            {
-                "softmax": f.softmax,
-                "cell_state": f.cell_state,
-                "ground_truth": f.ground_truth,
-            }
-            for f in manifest.frames
-        ],
+        "frames": [dataclasses.asdict(f) for f in manifest.frames],
     }
     if manifest.class_names is not None:
         doc["class_names"] = manifest.class_names

@@ -17,7 +17,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .segmentation import FrameSegments
 
@@ -130,13 +129,25 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+_CHUNK_PAIRS = 1 << 15
+
+
 def _boundary_distance(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Least distance between two (n, 2) float point sets."""
+    """Least distance between two non-empty (n, 2) integer point sets: the
+    sqrt of the least exact squared distance, taken over chunks of the larger
+    set so that no temporary holds more than about `_CHUNK_PAIRS` pairs."""
     if len(pa) > len(pb):
         pa, pb = pb, pa
-    tree = cKDTree(pb)
-    dist, _ = tree.query(pa, k=1)
-    return float(np.min(dist))
+
+    def least_squared(chunk):
+        squared = np.subtract.outer(pa[:, 0], chunk[:, 0]) ** 2
+        squared += np.subtract.outer(pa[:, 1], chunk[:, 1]) ** 2
+        return int(squared.min())
+
+    step = max(1, _CHUNK_PAIRS // len(pa))
+    return math.sqrt(
+        min(least_squared(pb[start : start + step]) for start in range(0, len(pb), step))
+    )
 
 
 def _box_gap(a, b) -> float:
@@ -326,15 +337,14 @@ def track_frame(
 
     def boundary(i):
         flat = pixels(i)
-        rows, cols = np.divmod(flat[~inner[flat]], width)
-        return np.stack([rows, cols], axis=1).astype(np.float64)
+        return np.stack(np.divmod(flat[~inner[flat]], width), axis=1)
 
     for idx in order:
         best = None
         for other in processed:
             if classes[other] != classes[idx]:
                 continue
-            # a pair whose boxes are c_near apart cannot be nearer: no tree
+            # a pair whose boxes are c_near apart cannot be nearer: not measured
             if _box_gap(box(idx), box(other)) >= params.c_near:
                 continue
             dist = _boundary_distance(boundary(idx), boundary(other))

@@ -124,6 +124,17 @@ def overlap_ratio(j_set, k_set):
     return len(j_set & k_set) / len(j_set)
 
 
+def boundary_distance(pa, pb):
+    """Least distance between two point sets: the sqrt of the least exact
+    integer square over all pairs."""
+    least = min(
+        (ya - yb) ** 2 + (xa - xb) ** 2
+        for ya, xa in pa.tolist()
+        for yb, xb in pb.tolist()
+    )
+    return math.sqrt(least)
+
+
 def adjusted_iou(pred_set, pred_class, gt_labels):
     _, gt_components = flood_fill_components(np.asarray(gt_labels))
     union = set()

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,6 +383,30 @@ def test_synth_rejects_broken_config_value_before_writing(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"height": "x"}, "height must be an integer, got 'x'"),
+        ([1, 2], "the synth config must be a JSON object"),
+        ({"num_frames": 2.5}, "num_frames must be an integer, got 2.5"),
+    ],
+)
+def test_synth_config_of_the_wrong_type_is_a_one_line_error(
+    runner, tmp_path, config, message
+):
+    """These used to end in a TypeError traceback, the last after creating
+    the output directory."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "s"
+    result = runner.invoke(main, ["synth", "--out", str(out), "--config", str(cfg)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert lines[0].endswith(message)
+    assert not out.exists()
+
+
 def test_stage_rerun_is_byte_identical(runner, tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
@@ -668,3 +695,25 @@ def test_corrupt_frame_is_a_one_line_error(
     assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
     assert re.fullmatch(f"Error: {re.escape(str(path))}: {message}\n", result.output)
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_spatial_sparse_and_linalg_unloaded():
+    """No stage needs scipy.spatial (step 1's boundary distance is numpy), so
+    importing the CLI loads neither it nor the sparse and linalg subpackages
+    that it would pull in."""
+    import segquality
+
+    src = os.path.dirname(os.path.dirname(segquality.__file__))
+    code = (
+        "import sys, segquality.cli; "
+        "print([m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.linalg') "
+        "if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

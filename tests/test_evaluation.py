@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,24 @@ def test_run_experiment_in_two_workers_equals_serial():
     pooled = run_experiment(table, workers=2, **kwargs)
     assert len(pooled.baselines) == 3  # naive and both entropy_gb cells
     assert pooled.to_dict() == serial.to_dict()
+
+
+def test_pooled_run_restores_the_blas_thread_variables(monkeypatch):
+    """The pool's workers start with one BLAS thread each; the caller's
+    environment is as it was once the grid is done."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    table = _synthetic_table(entropy_signal=True, n=60)
+    run_experiment(
+        table,
+        families=("linear",),
+        tasks=("classification",),
+        m_values=(0,),
+        split_spec=SplitSpec(runs=2, base_seed=4),
+        include_baselines=False,
+        workers=2,
+    )
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ

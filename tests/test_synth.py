@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import oracles
@@ -170,6 +171,31 @@ def test_config_validation():
         _config(num_classes=1)
     with pytest.raises(ValueError, match="velocity"):
         _config(velocity_min=2.0, velocity_max=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("height", "x", "an integer"),
+        ("num_frames", 2.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("error_rate", "0.1", "a number"),
+        ("velocity_max", None, "a number"),
+        ("correct_confidence", 0.9, "a pair of numbers"),
+        ("correct_confidence", (0.8, 0.9, 0.95), "a pair of numbers"),
+        ("error_confidence", (0.7, "0.9"), "a pair of numbers"),
+    ],
+)
+def test_config_rejects_fields_of_the_wrong_type(field, value, kind):
+    message = f"{field} must be {kind}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _config(**{field: value})
+
+
+def test_config_takes_any_integer_or_real_kind():
+    # numpy scalars and JSON's lists for the pairs, as a config file gives them
+    config = _config(height=np.int64(40), error_rate=0, correct_confidence=[0.8, 0.9])
+    assert config.height == 40
 
 
 def _label_maps(rng):

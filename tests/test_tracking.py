@@ -11,6 +11,8 @@ from segquality.synth import SynthConfig, generate_stream
 from segquality.tracking import (
     TrackingParams,
     TrackState,
+    _CHUNK_PAIRS,
+    _boundary_distance,
     _make_group,
     _overlap,
     predict_center_linreg,
@@ -443,33 +445,72 @@ def test_tracking_params_validation():
             TrackingParams(history_window=window)
 
 
-def test_step1_builds_no_tree_for_far_pairs(monkeypatch):
+def test_step1_measures_no_distance_for_far_pairs(monkeypatch):
     import segquality.tracking as tracking
 
-    built = []
+    measured = []
 
-    class CountingTree(tracking.cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            built.append(len(data))
-            super().__init__(data, *args, **kwargs)
+    def counting_distance(pa, pb):
+        measured.append((len(pa), len(pb)))
+        return _boundary_distance(pa, pb)
 
-    monkeypatch.setattr(tracking, "cKDTree", CountingTree)
+    monkeypatch.setattr(tracking, "_boundary_distance", counting_distance)
     far = np.zeros((40, 60), dtype=int)
     _block(far, 1, 2, 8, 2, 8)
     _block(far, 1, 30, 37, 50, 57)  # same class, boxes 42 px apart
     _, assignments = _frames_to_assignments([far])
-    assert built == []
+    assert measured == []
     assert sorted(a.matched_step for a in assignments[0]) == [5, 5, 5]
-    # boxes 8 px apart along each axis are 11.3 px >= c_near apart: no tree
+    # boxes 8 px apart along each axis are 11.3 px >= c_near apart: not measured
     _block(far, 1, 15, 19, 15, 19)
     _, assignments = _frames_to_assignments([far])
-    assert built == []
-    # a 3 px gap needs the tree, and the pair is grouped
+    assert measured == []
+    # a 3 px gap needs the distance, and the pair is grouped
     near = _block(np.zeros((30, 30), dtype=int), 1, 5, 10, 5, 10)
     _block(near, 1, 5, 10, 13, 18)
     _, assignments = _frames_to_assignments([near])
-    assert len(built) == 1
+    assert len(measured) == 1
     assert sorted(a.matched_step for a in assignments[0]) == [1, 5, 5]
+
+
+def _point_sets(rng, n, m, span):
+    return rng.integers(0, span, (n, 2)), rng.integers(0, span, (m, 2))
+
+
+def test_boundary_distance_matches_the_all_pairs_oracle():
+    rng = np.random.default_rng(21)
+    cases = [
+        # disjoint sets: no point in common
+        (np.array([[0, 0], [0, 1]]), np.array([[5, 7], [9, 9]])),
+        # a shared point is distance 0
+        (np.array([[3, 4], [8, 8]]), np.array([[8, 8]])),
+        # single points
+        (np.array([[2, 3]]), np.array([[7, 15]])),
+        # ties: four points at distance 5 from the center
+        (np.array([[10, 10]]), np.array([[13, 14], [7, 6], [14, 7], [6, 13]])),
+    ]
+    cases += [_point_sets(rng, *rng.integers(1, 60, 2), 40) for _ in range(40)]
+    # larger than one chunk, in either order of the arguments
+    big = _point_sets(rng, 300, 400, 2000)
+    assert len(big[0]) * len(big[1]) > 2 * _CHUNK_PAIRS
+    cases += [big, _point_sets(rng, 1, 100_000, 100_000)]
+    for pa, pb in cases:
+        expected = oracles.boundary_distance(pa, pb)
+        assert _boundary_distance(pa, pb) == expected
+        assert _boundary_distance(pb, pa) == expected
+
+
+def test_boundary_distance_of_large_sets_allocates_under_a_megabyte():
+    """A background-sized boundary against another: a million pairs, measured
+    a chunk at a time."""
+    pa, pb = _point_sets(np.random.default_rng(5), 1000, 1000, 4000)
+    tracemalloc.start()
+    try:
+        _boundary_distance(pa, pb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_frame_shape_must_be_the_segments_frame():
