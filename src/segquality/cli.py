@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 
 import click
+from click.core import ParameterSource
 
 from .dataset import SplitSpec, read_dataset, write_dataset
 # called by this name: perfbench/tracing.py times cli.assemble_dataset
@@ -20,6 +22,7 @@ from .evaluation import fit_split, run_experiment, run_time_series_experiment
 from .meta_models import FAMILIES, TASKS, ModelSpec
 from .pipeline import (
     apply_tracking,
+    feature_csv_shape,
     process_stream,
     read_feature_csv,
     read_tracking_csv,
@@ -58,13 +61,17 @@ def _tracking_options(func):
 class _Main(click.Group):
     """The command group; a `ValueError` from any stage (`TensorFormatError`,
     `ManifestError` and `json.JSONDecodeError` are ones) ends it with one
-    `Error:` line and exit status 1."""
+    `Error:` line and exit status 1, and a warning is one `Warning:` line."""
 
     def invoke(self, ctx):
+        formatwarning = warnings.formatwarning
+        warnings.formatwarning = lambda message, *_: f"Warning: {message}\n"
         try:
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.ClickException(str(exc)) from None
+        finally:
+            warnings.formatwarning = formatwarning
 
 
 @click.group(cls=_Main)
@@ -219,61 +226,42 @@ def train_cmd(
     click.echo(f"trained {family}/{task} on run {run}, saved to {out}")
 
 
+def _axis(option: str, value: str, every=None, parse=str) -> list:
+    """A comma-separated grid axis; `all` stands for every value in `every`."""
+    if every is not None and value.strip() == "all":
+        return list(every)
+    try:
+        return [parse(v.strip()) for v in value.split(",") if v.strip()]
+    except ValueError:
+        _fail(f"{option} must be integers, got {value!r}")
+
+
 @main.command("eval")
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True))
 @click.option("--header", "header_path", type=click.Path(exists=True))
+@click.option("--features", "features_path", type=click.Path(exists=True))
+@click.option("--tracking", "tracking_path", type=click.Path(exists=True))
 @click.option("--out-prefix", required=True, help="writes <prefix>.json and <prefix>.csv")
-@click.option(
-    "--families",
-    default="gradient_boosting,linear",
-    show_default=True,
-    help="comma-separated model families",
-)
+@click.option("--families", default="gradient_boosting,linear", show_default=True)
 @click.option("--tasks", default="classification,regression", show_default=True)
-@click.option("--m-values", default="0", show_default=True, help="comma-separated")
-@click.option(
-    "--grid",
-    type=click.Choice(["single-frame", "time-series"]),
-    help="run the full experiment shape: all four families, both tasks, and "
-    "the m sweep (single-frame) or the T sweep (time-series)",
-)
-@click.option(
-    "--features",
-    "features_path",
-    type=click.Path(exists=True),
-    help="feature CSV (time-series grid input)",
-)
-@click.option(
-    "--tracking",
-    "tracking_path",
-    type=click.Path(exists=True),
-    help="tracking CSV (time-series grid input)",
-)
-@click.option("--classes", "num_classes", type=int, help="time-series grid input")
-@click.option("--m", "num_stability", type=int, help="time-series grid input")
-@click.option(
-    "--t-values",
-    default="0,1,2,3,4,5,6,7,8,9,10",
-    show_default=True,
-    help="history lengths for the time-series grid",
-)
+@click.option("--m-values", default="0", show_default=True)
+@click.option("--t-values", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True)
 @click.option("--runs", default=10, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--sample-size", default=None, type=int)
 @click.option("--threads", default=1, show_default=True, type=int)
 @click.option("--no-baselines", is_flag=True)
+@click.pass_context
 def eval_cmd(
+    ctx,
     dataset_path,
     header_path,
+    features_path,
+    tracking_path,
     out_prefix,
     families,
     tasks,
     m_values,
-    grid,
-    features_path,
-    tracking_path,
-    num_classes,
-    num_stability,
     t_values,
     runs,
     seed,
@@ -281,67 +269,42 @@ def eval_cmd(
     threads,
     no_baselines,
 ):
-    """Run the experiment grid and emit a mean/std report (JSON and CSV)."""
-    split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
-    family_list = [f.strip() for f in families.split(",") if f.strip()]
-    task_list = [t.strip() for t in tasks.split(",") if t.strip()]
-    if grid is not None:
-        family_list = list(FAMILIES)
-        task_list = list(TASKS)
-    for family in family_list:
-        if family not in FAMILIES:
-            _fail(f"unknown family {family!r}")
-    for task in task_list:
-        if task not in TASKS:
-            _fail(f"unknown task {task!r}")
+    """Run the (family, task, m, T) grid and emit a mean/std report (JSON and CSV).
 
-    if grid == "time-series":
-        for flag, value in (
-            ("--features", features_path),
-            ("--tracking", tracking_path),
-            ("--classes", num_classes),
-            ("--m", num_stability),
-        ):
-            if value is None:
-                _fail(f"{flag} is required for the time-series grid")
-        try:
-            t_list = [int(v) for v in t_values.split(",") if v.strip()]
-        except ValueError:
-            _fail(f"--t-values must be integers, got {t_values!r}")
-        rows_by_frame = read_feature_csv(features_path, num_classes, num_stability)
+    The input is --dataset with --header, one table at the T it was built
+    with, or --features with --tracking, one table per --t-values.
+    --families, --tasks and --m-values are comma-separated lists, or `all`.
+    """
+    inputs = "eval reads --dataset with --header, or --features with --tracking"
+    if (dataset_path or header_path) and (features_path or tracking_path):
+        _fail(f"{inputs}, not both")
+    if features_path or tracking_path:
+        if not (features_path and tracking_path):
+            _fail(inputs)
+        t_list = _axis("--t-values", t_values, parse=int)
+        num_classes, max_m = feature_csv_shape(features_path)
+        rows_by_frame = read_feature_csv(features_path, num_classes, max_m)
         apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
-        report = run_time_series_experiment(
-            rows_by_frame,
-            num_classes,
-            num_stability,
-            t_list,
-            family_list,
-            task_list,
-            split_spec,
-            workers=threads,
-        )
     else:
         if dataset_path is None or header_path is None:
-            _fail("--dataset and --header are required")
+            _fail(inputs)
+        if ctx.get_parameter_source("t_values") is not ParameterSource.DEFAULT:
+            _fail("--t-values needs --features and --tracking; a dataset has one T")
         table = read_dataset(dataset_path, header_path)
-        if grid == "single-frame":
-            if table.history != 0:
-                _fail("the single-frame grid needs a dataset built with history 0")
-            m_list = list(range(table.num_stability + 1))
-        else:
-            try:
-                m_list = [int(v) for v in m_values.split(",") if v.strip()]
-            except ValueError:
-                _fail(f"--m-values must be integers, got {m_values!r}")
-        report = run_experiment(
-            table,
-            family_list,
-            task_list,
-            m_list,
-            split_spec,
-            include_baselines=not no_baselines,
-            workers=threads,
+        max_m = table.num_stability
+    grid = (
+        _axis("--families", families, FAMILIES),
+        _axis("--tasks", tasks, TASKS),
+        _axis("--m-values", m_values, range(max_m + 1), int),
+    )
+    split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
+    options = dict(include_baselines=not no_baselines, workers=threads)
+    if features_path:
+        report = run_time_series_experiment(
+            rows_by_frame, num_classes, *grid, t_list, split_spec, **options
         )
+    else:
+        report = run_experiment(table, *grid, split_spec, **options)
     report.save_json(f"{out_prefix}.json")
     report.save_csv(f"{out_prefix}.csv")
     click.echo(f"wrote report to {out_prefix}.json and {out_prefix}.csv")

@@ -6,13 +6,15 @@ import csv
 import json
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .dataset import MetaRecordTable, SplitSpec, split_indices, standardize
+from .dataset import MetaRecordTable, SplitSpec, build_time_series, check_history
+from .dataset import split_indices, standardize
 from .meta_models import ModelSpec, train_model
 from .seg_metrics import ENTROPY_MEAN_INDEX
 
@@ -262,9 +264,19 @@ def run_experiment(
     averaged over `split_spec.runs` deterministic splits.  With baselines on,
     a T=0 table also gets the entropy baseline: gradient boosting on the mean
     segment entropy alone, one cell per task, fitted like the grid cells.
+    An empty axis and fewer than one worker are refused before any fit, and
+    more workers than cores give a warning.
     """
+    for name, axis in (("families", families), ("tasks", tasks), ("m values", m_values)):
+        if len(axis) == 0:
+            raise ValueError(f"the grid has no {name}")
     for m in m_values:
         _check_m(table, m)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    cores = os.cpu_count() or 1
+    if workers > cores:
+        warnings.warn(f"workers={workers} exceeds os.cpu_count()={cores}", stacklevel=2)
     # (cell, model family, feature slice) per report cell
     plan = [
         (EvalCell(family, task, m, table.history, {}), family, None)
@@ -328,31 +340,31 @@ def run_experiment(
 def run_time_series_experiment(
     rows_by_frame,
     num_classes: int,
-    num_stability: int,
-    t_values,
     families,
     tasks,
+    m_values,
+    t_values,
     split_spec: SplitSpec,
+    include_baselines: bool,
     workers: int = 1,
 ) -> EvalReport:
     """Sweep the history length: one record table per T, merged into one report.
 
-    Each T is evaluated at m = num_stability plus the m = 0 baseline cell, so
-    the report carries both the proposed metric set and the plain time-series
-    baseline per history length.  Repeated T values count once, and every T
-    is checked before the first fit.
+    Each T's table is built at m = max(m_values) and evaluated on the whole
+    (family, task, m) grid; the baselines attach to the smallest T's table
+    only, so they appear once.  Repeated T values count once, and every
+    T is checked before the first fit.
     """
-    from .dataset import build_time_series, check_history
-
     t_values = list(dict.fromkeys(t_values))
+    if not t_values:
+        raise ValueError("the grid has no T values")
     for history in t_values:
         check_history(history)
-    m_values = (0, num_stability) if num_stability > 0 else (0,)
     cells: list[EvalCell] = []
     baselines: list[EvalCell] = []
     for history in t_values:
         table = build_time_series(
-            rows_by_frame, history, num_classes, num_stability
+            rows_by_frame, history, num_classes, max(m_values, default=0)
         )
         report = run_experiment(
             table,
@@ -360,7 +372,7 @@ def run_time_series_experiment(
             tasks,
             m_values,
             split_spec,
-            include_baselines=(history == 0),
+            include_baselines=include_baselines and history == min(t_values),
             workers=workers,
         )
         cells.extend(report.cells)

@@ -99,6 +99,15 @@ def write_feature_csv(rows_by_frame, path, num_classes: int, num_stability: int)
     write_csv(path, columns, ([r.ids(), r.iou, r.features] for r in rows_by_frame))
 
 
+def feature_csv_shape(path) -> tuple[int, int]:
+    """The class count and m that a feature CSV's header names;
+    `read_feature_csv` with them checks the whole header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split(",")
+    num_classes = sum(name.startswith("classprob_") for name in header)
+    return num_classes, len({n.split("_")[0] for n in header if n.startswith("cellstab")})
+
+
 def read_feature_csv(path, num_classes: int, num_stability: int):
     """Inverse of write_feature_csv; returns rows grouped by frame, with an
     empty record for every frame before the last that has no rows."""

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -13,10 +15,12 @@ from click.testing import CliRunner
 from segquality.cli import main
 from segquality.dataset import SplitSpec, read_dataset, split_indices
 from segquality.evaluation import fit_split
-from segquality.meta_models import ModelSpec, load_model
+from segquality.meta_models import FAMILIES, TASKS, ModelSpec, load_model
 from segquality.seg_metrics import feature_names
 from segquality.synth import SynthConfig, generate_stream
 from segquality.tensor_io import HEADER_SIZE
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture(scope="module")
@@ -449,11 +453,11 @@ def test_eval_time_series_grid(runner, pipeline_dir, tmp_path):
         main,
         [
             "eval",
-            "--grid", "time-series",
             "--features", str(pipeline_dir / "features.csv"),
             "--tracking", str(pipeline_dir / "tracking.csv"),
-            "--classes", "8",
-            "--m", "3",
+            "--families", "all",
+            "--tasks", "all",
+            "--m-values", "0,3",
             "--t-values", "0,1",
             "--runs", "1",
             "--out-prefix", str(tmp_path / "grid"),
@@ -470,12 +474,11 @@ def test_eval_time_series_grid(runner, pipeline_dir, tmp_path):
 
 
 def test_eval_grid_requires_inputs(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["eval", "--grid", "time-series", "--out-prefix", str(tmp_path / "x")],
-    )
+    result = runner.invoke(main, ["eval", "--out-prefix", str(tmp_path / "x")])
     assert result.exit_code != 0
-    assert "--features is required" in result.output
+    assert result.output == (
+        "Error: eval reads --dataset with --header, or --features with --tracking\n"
+    )
 
 
 def test_eval_threads_match_serial(runner, pipeline_dir, tmp_path):
@@ -521,21 +524,18 @@ def test_wrong_tracking_csv_is_a_one_line_error(
     """A feature CSV passed as --tracking names the file instead of failing
     while unpacking its rows."""
     wrong = pipeline_dir / "features.csv"
-    common = ["--tracking", str(wrong), "--m", "3"]
+    common = ["--tracking", str(wrong)]
     args = {
         "extract": [
             "--manifest", str(pipeline_dir / "stream" / "manifest.json"),
-            "--out", str(tmp_path / "features.csv"),
+            "--out", str(tmp_path / "features.csv"), "--m", "3",
         ],
         "dataset": [
-            "--features", str(wrong), "--classes", "8",
+            "--features", str(wrong), "--classes", "8", "--m", "3",
             "--out", str(tmp_path / "dataset.csv"),
             "--header", str(tmp_path / "dataset.json"),
         ],
-        "eval": [
-            "--grid", "time-series", "--features", str(wrong), "--classes", "8",
-            "--out-prefix", str(tmp_path / "grid"),
-        ],
+        "eval": ["--features", str(wrong), "--out-prefix", str(tmp_path / "grid")],
     }[command]
     result = runner.invoke(main, [command] + args + common)
     assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
@@ -593,10 +593,10 @@ def test_eval_rejects_non_integer_t_values(runner, pipeline_dir, tmp_path):
     result = runner.invoke(
         main,
         [
-            "eval", "--grid", "time-series",
+            "eval",
             "--features", str(pipeline_dir / "features.csv"),
             "--tracking", str(pipeline_dir / "tracking.csv"),
-            "--classes", "8", "--m", "3", "--t-values", "0,x",
+            "--t-values", "0,x",
             "--out-prefix", str(tmp_path / "grid"),
         ],
     )
@@ -609,10 +609,11 @@ def _time_series_eval(runner, pipeline_dir, prefix, t_values):
     return runner.invoke(
         main,
         [
-            "eval", "--grid", "time-series",
+            "eval",
             "--features", str(pipeline_dir / "features.csv"),
             "--tracking", str(pipeline_dir / "tracking.csv"),
-            "--classes", "8", "--m", "3", "--t-values", t_values, "--runs", "1",
+            "--families", "all", "--tasks", "all", "--m-values", "0,3",
+            "--t-values", t_values, "--runs", "1",
             "--out-prefix", str(prefix),
         ],
     )
@@ -717,3 +718,179 @@ def test_cli_import_leaves_scipy_spatial_sparse_and_linalg_unloaded():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def _series_inputs(pipeline_dir):
+    return [
+        "--features", str(pipeline_dir / "features.csv"),
+        "--tracking", str(pipeline_dir / "tracking.csv"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def t0_inputs(runner, pipeline_dir, tmp_path_factory):
+    """The eval options of the test stream's T = 0 dataset (m = 3)."""
+    root = tmp_path_factory.mktemp("t0")
+    paths = ["--out", str(root / "t0.csv"), "--header", str(root / "t0.json")]
+    result = runner.invoke(
+        main,
+        ["dataset", "--features", str(pipeline_dir / "features.csv"), *paths,
+         "--classes", "8", "--m", "3"],
+    )
+    assert result.exit_code == 0, result.output
+    return ["--dataset", str(root / "t0.csv"), "--header", str(root / "t0.json")]
+
+
+@pytest.mark.parametrize(
+    "report, axes",
+    [
+        ("single_frame", ["--m-values", "all"]),
+        ("time_series", ["--m-values", "0,3", "--t-values", "0,1"]),
+    ],
+)
+def test_eval_reproduces_the_removed_grid_modes(
+    runner, pipeline_dir, t0_inputs, tmp_path, report, axes
+):
+    """All families and tasks with an m (and T) axis write the reports of the
+    removed `--grid single-frame` and `--grid time-series` modes, byte for
+    byte, as recorded in eval_grid_sha256.json."""
+    inputs = t0_inputs if report == "single_frame" else _series_inputs(pipeline_dir)
+    prefix = tmp_path / "report"
+    result = runner.invoke(
+        main,
+        ["eval", *inputs, "--families", "all", "--tasks", "all", *axes,
+         "--runs", "1", "--out-prefix", str(prefix)],
+    )
+    assert result.exit_code == 0, result.output
+    with open(os.path.join(DATA, "eval_grid_sha256.json"), encoding="utf-8") as fh:
+        pins = json.load(fh)[report]["sha256"]
+    for suffix, digest in pins.items():
+        data = (tmp_path / f"report.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+
+def test_eval_full_m_by_t_grid(runner, pipeline_dir, tmp_path):
+    result = runner.invoke(
+        main,
+        ["eval", *_series_inputs(pipeline_dir), "--families", "all", "--tasks", "all",
+         "--m-values", "all", "--t-values", "0,1", "--runs", "1",
+         "--out-prefix", str(tmp_path / "grid")],
+    )
+    assert result.exit_code == 0, result.output
+    cells = json.loads((tmp_path / "grid.json").read_text())["cells"]
+    assert len(cells) == 4 * 2 * 4 * 2
+    keys = {(c["family"], c["task"], c["m"], c["T"]) for c in cells}
+    assert keys == set(itertools.product(FAMILIES, TASKS, range(4), (0, 1)))
+
+
+@pytest.mark.parametrize("source", ["dataset", "series"])
+def test_eval_honours_families_and_no_baselines_on_either_input(
+    runner, pipeline_dir, t0_inputs, tmp_path, source
+):
+    inputs = t0_inputs if source == "dataset" else _series_inputs(pipeline_dir)
+    if source == "series":
+        inputs = inputs + ["--t-values", "0"]
+    reports = {}
+    for name, extra in (("with", []), ("without", ["--no-baselines"])):
+        result = runner.invoke(
+            main,
+            ["eval", *inputs, "--families", "linear", "--runs", "1", *extra,
+             "--out-prefix", str(tmp_path / name)],
+        )
+        assert result.exit_code == 0, result.output
+        reports[name] = json.loads((tmp_path / f"{name}.json").read_text())
+    families = [(c["family"], c["task"]) for c in reports["with"]["cells"]]
+    assert families == [("linear", "classification"), ("linear", "regression")]
+    assert {b["family"] for b in reports["with"]["baselines"]} == {"naive", "entropy_gb"}
+    assert reports["without"]["baselines"] == []
+    assert reports["without"]["cells"] == reports["with"]["cells"]
+
+
+_EVAL_INPUTS = "eval reads --dataset with --header, or --features with --tracking"
+
+
+@pytest.mark.parametrize(
+    "inputs, extra, message",
+    [
+        ("dataset+header+features+tracking", [], f"{_EVAL_INPUTS}, not both"),
+        ("dataset+tracking", [], f"{_EVAL_INPUTS}, not both"),
+        ("features", [], _EVAL_INPUTS),
+        ("tracking", [], _EVAL_INPUTS),
+        ("dataset", [], _EVAL_INPUTS),
+        (
+            "dataset+header",
+            ["--t-values", "0"],
+            "--t-values needs --features and --tracking; a dataset has one T",
+        ),
+        ("dataset+header", ["--threads", "0"], "workers must be >= 1, got 0"),
+        ("features+tracking", ["--threads", "-3"], "workers must be >= 1, got -3"),
+        ("dataset+header", ["--families", ","], "the grid has no families"),
+        ("features+tracking", ["--families", ","], "the grid has no families"),
+        ("dataset+header", ["--tasks", ""], "the grid has no tasks"),
+        ("dataset+header", ["--m-values", ""], "the grid has no m values"),
+        ("features+tracking", ["--m-values", ","], "the grid has no m values"),
+        ("features+tracking", ["--t-values", ","], "the grid has no T values"),
+        ("dataset+header", ["--families", "linear,lasso"], "unknown family 'lasso'"),
+        ("features+tracking", ["--tasks", "ranking"], "unknown task 'ranking'"),
+        ("dataset+header", ["--m-values", "all,1"], "--m-values must be integers, got 'all,1'"),
+        ("dataset+header", ["--m-values", "4"], "m=4 outside [0, 3] for this dataset"),
+        ("features+tracking", ["--m-values", "4"], "num_stability must be in [0, 3], got 4"),
+    ],
+)
+def test_eval_refusal_is_one_error_line_before_any_fit(
+    runner, pipeline_dir, tmp_path, monkeypatch, inputs, extra, message
+):
+    from segquality import evaluation
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before the grid was checked")
+
+    monkeypatch.setattr(evaluation, "train_model", no_fit)
+    paths = {
+        "dataset": pipeline_dir / "dataset.csv",
+        "header": pipeline_dir / "dataset.json",
+        "features": pipeline_dir / "features.csv",
+        "tracking": pipeline_dir / "tracking.csv",
+    }
+    args = [arg for name in inputs.split("+") for arg in (f"--{name}", str(paths[name]))]
+    out = tmp_path / "report"
+    result = runner.invoke(main, ["eval", *args, *extra, "--out-prefix", str(out)])
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert result.output == f"Error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_tracking_csv_as_features_is_a_one_line_error(runner, pipeline_dir, tmp_path):
+    tracking = pipeline_dir / "tracking.csv"
+    result = runner.invoke(
+        main,
+        ["eval", "--features", str(tracking), "--tracking", str(tracking),
+         "--out-prefix", str(tmp_path / "report")],
+    )
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert re.fullmatch(
+        f"Error: {re.escape(str(tracking))}: unexpected feature CSV header [^\n]*\n",
+        result.output,
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_threads_above_the_core_count_warn_in_one_line(pipeline_dir, tmp_path):
+    """Over two T values, so two pooled grids: one `Warning:` line."""
+    import segquality
+
+    src = os.path.dirname(os.path.dirname(segquality.__file__))
+    code = (
+        "import os, sys; os.cpu_count = lambda: 1; "
+        "from segquality.cli import main; main(sys.argv[1:])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, "eval", *_series_inputs(pipeline_dir),
+         "--families", "linear", "--tasks", "classification", "--t-values", "0,1",
+         "--runs", "2", "--threads", "2", "--out-prefix", str(tmp_path / "report")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "Warning: workers=2 exceeds os.cpu_count()=1\n"

@@ -164,8 +164,8 @@ def _synthetic_table(entropy_signal, n=400, seed=0, num_classes=3):
 
 
 def _entropy_cells(table, spec, tasks=("classification", "regression")):
-    """The entropy baseline cells of a report with no grid cells."""
-    report = run_experiment(table, (), tasks, (), spec)
+    """The entropy baseline cells of a report beside a one-family grid."""
+    report = run_experiment(table, ("linear",), tasks, (0,), spec)
     return [c for c in report.baselines if c.family == "entropy_gb"]
 
 
@@ -226,7 +226,8 @@ def test_run_experiment_report_shape_and_determinism():
     assert rerun.to_dict() == report.to_dict()
 
 
-def test_run_time_series_experiment_merges_history_sweep():
+def _tracked_stream():
+    """40 frames of four persistent tracks at m = 0, three classes."""
     rng = np.random.default_rng(5)
     rows_by_frame = []
     dim = feature_count(3, 0)
@@ -238,16 +239,20 @@ def test_run_time_series_experiment_merges_history_sweep():
             features[comp, ENTROPY_MEAN_INDEX] = (0.8 if bad else 0.2) + 0.1 * rng.random()
             features[comp, 1] = 5.0  # size_in: every segment has an interior
             iou.append(0.0 if bad else 0.4 + 0.6 * rng.random())
-        # four persistent tracks
         rows_by_frame.append(_frame_rows(frame, features, iou, range(4)))
+    return rows_by_frame
+
+
+def test_run_time_series_experiment_merges_history_sweep():
     report = run_time_series_experiment(
-        rows_by_frame,
+        _tracked_stream(),
         num_classes=3,
-        num_stability=0,
-        t_values=(0, 2),
         families=("linear",),
         tasks=("classification",),
+        m_values=(0,),
+        t_values=(0, 2),
         split_spec=SplitSpec(runs=2, base_seed=1),
+        include_baselines=True,
     )
     histories = sorted({c.history for c in report.cells})
     assert histories == [0, 2]
@@ -326,3 +331,25 @@ def test_pooled_run_restores_the_blas_thread_variables(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "3"
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert "MKL_NUM_THREADS" not in os.environ
+
+
+def test_time_series_baselines_attach_to_the_smallest_t_once():
+    kwargs = dict(
+        num_classes=3,
+        families=("linear",),
+        tasks=("classification",),
+        m_values=(0,),
+        t_values=(2, 1, 2),
+        split_spec=SplitSpec(runs=1, base_seed=1),
+    )
+    report = run_time_series_experiment(
+        _tracked_stream(), include_baselines=True, **kwargs
+    )
+    # a T > 0 table has no entropy baseline, only the naive one
+    assert [(b.family, b.history) for b in report.baselines] == [("naive", 1)]
+    assert sorted(c.history for c in report.cells) == [1, 2]
+    bare = run_time_series_experiment(
+        _tracked_stream(), include_baselines=False, **kwargs
+    )
+    assert bare.baselines == []
+    assert bare.to_dict()["cells"] == report.to_dict()["cells"]
