@@ -15,10 +15,10 @@ import warnings
 import click
 from click.core import ParameterSource
 
-from .dataset import SplitSpec, read_dataset, write_dataset
+from .dataset import MAX_HISTORY, SplitSpec, read_dataset, write_dataset
 # called by this name: perfbench/tracing.py times cli.assemble_dataset
 from .dataset import build_time_series as assemble_dataset
-from .evaluation import fit_split, run_experiment, run_time_series_experiment
+from .evaluation import check_grid, fit_split, run_experiment
 from .meta_models import FAMILIES, TASKS, ModelSpec
 from .pipeline import (
     apply_tracking,
@@ -272,8 +272,9 @@ def eval_cmd(
     """Run the (family, task, m, T) grid and emit a mean/std report (JSON and CSV).
 
     The input is --dataset with --header, one table at the T it was built
-    with, or --features with --tracking, one table per --t-values.
-    --families, --tasks and --m-values are comma-separated lists, or `all`.
+    with, or --features with --tracking, one table built at the largest of
+    --t-values, each T read as its first T + 1 history slots.  --families,
+    --tasks and --m-values are comma-separated lists, or `all`.
     """
     inputs = "eval reads --dataset with --header, or --features with --tracking"
     if (dataset_path or header_path) and (features_path or tracking_path):
@@ -283,28 +284,27 @@ def eval_cmd(
             _fail(inputs)
         t_list = _axis("--t-values", t_values, parse=int)
         num_classes, max_m = feature_csv_shape(features_path)
-        rows_by_frame = read_feature_csv(features_path, num_classes, max_m)
-        apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
     else:
         if dataset_path is None or header_path is None:
             _fail(inputs)
         if ctx.get_parameter_source("t_values") is not ParameterSource.DEFAULT:
             _fail("--t-values needs --features and --tracking; a dataset has one T")
         table = read_dataset(dataset_path, header_path)
-        max_m = table.num_stability
+        max_m, t_list = table.num_stability, None
     grid = (
         _axis("--families", families, FAMILIES),
         _axis("--tasks", tasks, TASKS),
         _axis("--m-values", m_values, range(max_m + 1), int),
     )
     split_spec = SplitSpec(sample_size=sample_size, runs=runs, base_seed=seed)
-    options = dict(include_baselines=not no_baselines, workers=threads)
     if features_path:
-        report = run_time_series_experiment(
-            rows_by_frame, num_classes, *grid, t_list, split_spec, **options
-        )
-    else:
-        report = run_experiment(table, *grid, split_spec, **options)
+        # the grid against the CSV, then one table at the largest T and m
+        check_grid(*grid, t_list, max_m, MAX_HISTORY)
+        rows_by_frame = read_feature_csv(features_path, num_classes, max_m)
+        apply_tracking(rows_by_frame, read_tracking_csv(tracking_path))
+        table = assemble_dataset(rows_by_frame, max(t_list), num_classes, max(grid[2]))
+    options = dict(include_baselines=not no_baselines, workers=threads)
+    report = run_experiment(table, *grid, split_spec, t_values=t_list, **options)
     report.save_json(f"{out_prefix}.json")
     report.save_csv(f"{out_prefix}.csv")
     click.echo(f"wrote report to {out_prefix}.json and {out_prefix}.csv")

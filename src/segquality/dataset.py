@@ -7,7 +7,7 @@ import itertools
 import json
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,10 +70,18 @@ class MetaRecordTable:
         dim = feature_count(self.num_classes, num_stability)
         return self.features[:, :, :dim].reshape(len(self), -1)
 
-
-def check_history(history: int) -> None:
-    if not 0 <= history <= MAX_HISTORY:
-        raise ValueError(f"history must be in [0, {MAX_HISTORY}], got {history}")
+    def upto(self, history: int) -> MetaRecordTable:
+        """The same records with history slots 0..history, as views of this
+        table's arrays: the table `build_time_series` gives at that T.  The
+        table itself at its own T."""
+        if not 0 <= history <= self.history:
+            raise ValueError(
+                f"history must be in [0, {self.history}], got {history}"
+            )
+        if history == self.history:
+            return self
+        features, mask = self.features[:, : history + 1], self.mask[:, : history + 1]
+        return replace(self, history=history, features=features, mask=mask)
 
 
 def build_time_series(
@@ -89,7 +97,8 @@ def build_time_series(
     same-frame segments share a track id, the largest (ties: first component)
     acts as the track's representative.
     """
-    check_history(history)
+    if not 0 <= history <= MAX_HISTORY:
+        raise ValueError(f"history must be in [0, {MAX_HISTORY}], got {history}")
     for rows in rows_by_frame:
         if not 0 <= num_stability <= rows.num_stability:
             raise ValueError(

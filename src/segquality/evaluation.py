@@ -13,8 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import MetaRecordTable, SplitSpec, build_time_series, check_history
-from .dataset import split_indices, standardize
+from .dataset import MetaRecordTable, SplitSpec, split_indices, standardize
 from .meta_models import ModelSpec, train_model
 from .seg_metrics import ENTROPY_MEAN_INDEX
 
@@ -160,11 +159,24 @@ class EvalReport:
                 )
 
 
-def _check_m(table: MetaRecordTable, num_stability: int) -> None:
-    if not 0 <= num_stability <= table.num_stability:
-        raise ValueError(
-            f"m={num_stability} outside [0, {table.num_stability}] for this dataset"
-        )
+def _check_m(num_stability: int, limit: int) -> None:
+    if not 0 <= num_stability <= limit:
+        raise ValueError(f"m={num_stability} outside [0, {limit}] for this dataset")
+
+
+def check_grid(families, tasks, m_values, t_values, num_stability, history) -> None:
+    """Refuse an empty axis, an m outside [0, num_stability] and a T outside
+    [0, history]; `run_experiment` checks its grid against its table so, and
+    a caller that builds the table for a grid checks the grid first."""
+    axes = ("families", families), ("tasks", tasks), ("m values", m_values)
+    for name, axis in (*axes, ("T values", t_values)):
+        if len(axis) == 0:
+            raise ValueError(f"the grid has no {name}")
+    for m in m_values:
+        _check_m(m, num_stability)
+    for t in t_values:
+        if not 0 <= t <= history:
+            raise ValueError(f"history must be in [0, {history}], got {t}")
 
 
 def _prepare_split(
@@ -183,7 +195,7 @@ def _prepare_split(
     zero-IoU label or the IoU, by task.  Also returns the (mean, std) the
     flat features were standardized with.
     """
-    _check_m(table, num_stability)
+    _check_m(num_stability, table.num_stability)
     indices = split_indices(len(table), split_spec, run)
     flat = table.flat_features(num_stability)
     *scaled, mean, std = standardize(*(flat[idx] for idx in indices))
@@ -224,10 +236,11 @@ def fit_split(
 
 
 def _grid_job(table: MetaRecordTable, job) -> dict[str, float]:
-    """Fit one split run of one report cell and score it on the test part."""
-    model_spec, num_stability, split_spec, run, feature_slice = job
+    """Fit one split run of one report cell on the first T + 1 history slots
+    of the table, and score it on the test part."""
+    model_spec, num_stability, history, split_spec, run, feature_slice = job
     model, test, _ = fit_split(
-        table, model_spec, num_stability, split_spec, run, feature_slice
+        table.upto(history), model_spec, num_stability, split_spec, run, feature_slice
     )
     scores = model.predict(*test[:-1])
     y = test[-1]
@@ -256,34 +269,37 @@ def run_experiment(
     split_spec: SplitSpec,
     include_baselines: bool = True,
     workers: int = 1,
+    t_values=None,
 ) -> EvalReport:
-    """Evaluate the (family, task, m) grid over all split runs.
+    """Evaluate the (family, task, m, T) grid over all split runs.
 
-    The table's history length T is fixed by its construction; sweeping T means
-    building tables for each T and calling this per table.  Results are
-    averaged over `split_spec.runs` deterministic splits.  With baselines on,
-    a T=0 table also gets the entropy baseline: gradient boosting on the mean
-    segment entropy alone, one cell per task, fitted like the grid cells.
-    An empty axis and fewer than one worker are refused before any fit, and
-    more workers than cores give a warning.
+    Each T of `t_values` (default the table's own T; a repeated T counts
+    once) is fitted on `table.upto(T)`, the table's first T + 1 history
+    slots.  The cells are T-major, then sorted by family, task and m.
+    Results are averaged over `split_spec.runs` deterministic splits.  With
+    baselines on, the smallest T gets the naive baseline and, if it is 0,
+    the entropy baseline: gradient boosting on the mean segment entropy
+    alone, one cell per task, fitted like the grid cells.  `check_grid`'s
+    refusals and fewer than one worker are refused before any fit, and more
+    workers than cores give a warning.
     """
-    for name, axis in (("families", families), ("tasks", tasks), ("m values", m_values)):
-        if len(axis) == 0:
-            raise ValueError(f"the grid has no {name}")
-    for m in m_values:
-        _check_m(table, m)
+    t_values = [table.history] if t_values is None else list(dict.fromkeys(t_values))
+    check_grid(families, tasks, m_values, t_values, table.num_stability, table.history)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cores = os.cpu_count() or 1
     if workers > cores:
         warnings.warn(f"workers={workers} exceeds os.cpu_count()={cores}", stacklevel=2)
     # (cell, model family, feature slice) per report cell
+    points = sorted(set(product(families, tasks, m_values)))
     plan = [
-        (EvalCell(family, task, m, table.history, {}), family, None)
-        for family, task, m in sorted(set(product(families, tasks, m_values)))
+        (EvalCell(family, task, m, history, {}), family, None)
+        for history in t_values
+        for family, task, m in points
     ]
     num_grid = len(plan)
-    if include_baselines and table.history == 0:
+    first = table.upto(min(t_values))
+    if include_baselines and first.history == 0:
         entropy = slice(ENTROPY_MEAN_INDEX, ENTROPY_MEAN_INDEX + 1)
         plan += [
             (EvalCell("entropy_gb", task, 0, 0, {}), "gradient_boosting", entropy)
@@ -293,6 +309,7 @@ def run_experiment(
         (
             ModelSpec(family=family, task=cell.task, seed=run),
             cell.num_stability,
+            cell.history,
             split_spec,
             run,
             feature_slice,
@@ -331,55 +348,10 @@ def run_experiment(
             name: (float(np.mean(vals)), float(np.std(vals)))
             for name, vals in cell.per_run.items()
         }
-    naive = [naive_baseline_cell(table)] if include_baselines else []
+    naive = [naive_baseline_cell(first)] if include_baselines else []
     report = EvalReport(cells=cells[:num_grid], baselines=naive + cells[num_grid:])
     report.annotate_best()
     return report
-
-
-def run_time_series_experiment(
-    rows_by_frame,
-    num_classes: int,
-    families,
-    tasks,
-    m_values,
-    t_values,
-    split_spec: SplitSpec,
-    include_baselines: bool,
-    workers: int = 1,
-) -> EvalReport:
-    """Sweep the history length: one record table per T, merged into one report.
-
-    Each T's table is built at m = max(m_values) and evaluated on the whole
-    (family, task, m) grid; the baselines attach to the smallest T's table
-    only, so they appear once.  Repeated T values count once, and every
-    T is checked before the first fit.
-    """
-    t_values = list(dict.fromkeys(t_values))
-    if not t_values:
-        raise ValueError("the grid has no T values")
-    for history in t_values:
-        check_history(history)
-    cells: list[EvalCell] = []
-    baselines: list[EvalCell] = []
-    for history in t_values:
-        table = build_time_series(
-            rows_by_frame, history, num_classes, max(m_values, default=0)
-        )
-        report = run_experiment(
-            table,
-            families,
-            tasks,
-            m_values,
-            split_spec,
-            include_baselines=include_baselines and history == min(t_values),
-            workers=workers,
-        )
-        cells.extend(report.cells)
-        baselines.extend(report.baselines)
-    merged = EvalReport(cells=cells, baselines=baselines)
-    merged.annotate_best()
-    return merged
 
 
 def naive_baseline_cell(table: MetaRecordTable) -> EvalCell:

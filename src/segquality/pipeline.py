@@ -101,9 +101,18 @@ def write_feature_csv(rows_by_frame, path, num_classes: int, num_stability: int)
 
 def feature_csv_shape(path) -> tuple[int, int]:
     """The class count and m that a feature CSV's header names;
-    `read_feature_csv` with them checks the whole header."""
+    `read_feature_csv` with them checks the whole header.  A header that
+    does not start with the feature CSV's id columns is refused, with the
+    first column that differs."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split(",")
+        header = fh.readline().rstrip("\r\n").split(",")
+    for i, name in enumerate(FEATURE_CSV_META):
+        if header[i : i + 1] != [name]:
+            found = repr(header[i]) if i < len(header) else "none"
+            raise ValueError(
+                f"{path}: unexpected feature CSV header at column {i}: {found}, "
+                f"expected {name!r}"
+            )
     num_classes = sum(name.startswith("classprob_") for name in header)
     return num_classes, len({n.split("_")[0] for n in header if n.startswith("cellstab")})
 

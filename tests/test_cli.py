@@ -636,11 +636,12 @@ def test_eval_checks_every_t_before_fitting(runner, pipeline_dir, tmp_path, monk
     def no_fit(*args, **kwargs):
         raise AssertionError("a model was fitted before every T was checked")
 
-    monkeypatch.setattr(evaluation, "run_experiment", no_fit)
-    result = _time_series_eval(runner, pipeline_dir, tmp_path / "grid", "0,11")
-    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
-    assert result.output == "Error: history must be in [0, 10], got 11\n"
-    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(evaluation, "train_model", no_fit)
+    for t_values, bad in (("0,11", 11), ("0,-1", -1)):
+        result = _time_series_eval(runner, pipeline_dir, tmp_path / "grid", t_values)
+        assert isinstance(result.exception, SystemExit)  # a ClickException
+        assert result.output == f"Error: history must be in [0, 10], got {bad}\n"
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -834,7 +835,8 @@ _EVAL_INPUTS = "eval reads --dataset with --header, or --features with --trackin
         ("features+tracking", ["--tasks", "ranking"], "unknown task 'ranking'"),
         ("dataset+header", ["--m-values", "all,1"], "--m-values must be integers, got 'all,1'"),
         ("dataset+header", ["--m-values", "4"], "m=4 outside [0, 3] for this dataset"),
-        ("features+tracking", ["--m-values", "4"], "num_stability must be in [0, 3], got 4"),
+        ("features+tracking", ["--m-values", "4"], "m=4 outside [0, 3] for this dataset"),
+        ("features+tracking", ["--m-values=-1,2"], "m=-1 outside [0, 3] for this dataset"),
     ],
 )
 def test_eval_refusal_is_one_error_line_before_any_fit(
@@ -872,11 +874,12 @@ def test_eval_tracking_csv_as_features_is_a_one_line_error(runner, pipeline_dir,
         f"Error: {re.escape(str(tracking))}: unexpected feature CSV header [^\n]*\n",
         result.output,
     )
+    assert "classes=" not in result.output  # a tracking CSV has no class count
     assert not list(tmp_path.iterdir())
 
 
 def test_eval_threads_above_the_core_count_warn_in_one_line(pipeline_dir, tmp_path):
-    """Over two T values, so two pooled grids: one `Warning:` line."""
+    """Over two T values, one pooled grid: one `Warning:` line."""
     import segquality
 
     src = os.path.dirname(os.path.dirname(segquality.__file__))

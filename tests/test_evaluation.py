@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from segquality.dataset import SplitSpec, build_time_series
+from segquality import evaluation
+from segquality.dataset import MAX_HISTORY, SplitSpec, build_time_series
 from segquality.evaluation import (
     accuracy,
     auroc,
@@ -12,7 +13,6 @@ from segquality.evaluation import (
     r_squared,
     regression_sigma,
     run_experiment,
-    run_time_series_experiment,
 )
 from segquality.seg_metrics import ENTROPY_MEAN_INDEX, FeatureRows, feature_count
 
@@ -243,10 +243,32 @@ def _tracked_stream():
     return rows_by_frame
 
 
-def test_run_time_series_experiment_merges_history_sweep():
-    report = run_time_series_experiment(
-        _tracked_stream(),
-        num_classes=3,
+def test_upto_is_the_table_built_at_that_t():
+    """The table at any T is the first T + 1 history slots of the table at
+    a larger T, array for array."""
+    rows = _tracked_stream()
+    arrays = ("features", "mask", "iou", "labels", "frames", "components", "track_ids")
+    largest = build_time_series(rows, MAX_HISTORY, 3, 0)
+    for history in range(MAX_HISTORY + 1):
+        built = build_time_series(rows, history, 3, 0)
+        prefix = largest.upto(history)
+        assert prefix.history == history
+        for name in arrays:
+            assert np.array_equal(getattr(prefix, name), getattr(built, name)), name
+    assert largest.upto(MAX_HISTORY) is largest
+
+
+@pytest.mark.parametrize("history", [-1, 3])
+def test_upto_refuses_a_t_outside_the_table(history):
+    table = build_time_series(_tracked_stream(), 2, 3, 0)
+    message = rf"history must be in \[0, 2\], got {history}"
+    with pytest.raises(ValueError, match=message):
+        table.upto(history)
+
+
+def test_run_experiment_t_values_merge_history_sweep():
+    report = run_experiment(
+        build_time_series(_tracked_stream(), 2, 3, 0),
         families=("linear",),
         tasks=("classification",),
         m_values=(0,),
@@ -335,21 +357,42 @@ def test_pooled_run_restores_the_blas_thread_variables(monkeypatch):
 
 def test_time_series_baselines_attach_to_the_smallest_t_once():
     kwargs = dict(
-        num_classes=3,
         families=("linear",),
         tasks=("classification",),
         m_values=(0,),
         t_values=(2, 1, 2),
         split_spec=SplitSpec(runs=1, base_seed=1),
     )
-    report = run_time_series_experiment(
-        _tracked_stream(), include_baselines=True, **kwargs
-    )
+    table = build_time_series(_tracked_stream(), 2, 3, 0)
+    report = run_experiment(table, include_baselines=True, **kwargs)
     # a T > 0 table has no entropy baseline, only the naive one
     assert [(b.family, b.history) for b in report.baselines] == [("naive", 1)]
     assert sorted(c.history for c in report.cells) == [1, 2]
-    bare = run_time_series_experiment(
-        _tracked_stream(), include_baselines=False, **kwargs
-    )
+    bare = run_experiment(table, include_baselines=False, **kwargs)
     assert bare.baselines == []
     assert bare.to_dict()["cells"] == report.to_dict()["cells"]
+
+
+def test_t_sweep_in_two_workers_is_one_pool_and_equals_serial(monkeypatch):
+    pools = []
+
+    class CountedPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountedPool)
+    table = build_time_series(_tracked_stream(), 2, 3, 0)
+    kwargs = dict(
+        families=("linear",),
+        tasks=("classification", "regression"),
+        m_values=(0,),
+        split_spec=SplitSpec(runs=2, base_seed=1),
+        t_values=(0, 2),
+    )
+    serial = run_experiment(table, workers=1, **kwargs)
+    assert pools == []
+    pooled = run_experiment(table, workers=2, **kwargs)
+    assert len(pools) == 1
+    assert sorted({c.history for c in pooled.cells}) == [0, 2]
+    assert pooled.to_dict() == serial.to_dict()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segquality.dataset import build_time_series, write_dataset
+from segquality.dataset import MAX_HISTORY, build_time_series, write_dataset
 from segquality.pipeline import (
     apply_tracking,
     extract_frame,
@@ -156,6 +156,22 @@ def test_assemble_dataset_feature_length_contract(small_stream):
         # every record corresponds to a segment with non-empty interior
         assert len(table) > 0
         assert (table.mask[:, 0] == 1.0).all()
+
+
+def test_upto_is_the_table_built_at_that_t(small_stream):
+    """At every m, the table at any T is the first T + 1 history slots of
+    the table at T = 10, array for array."""
+    rows_by_frame, _ = tracked_stream(small_stream, 3)
+    classes = small_stream.num_classes
+    arrays = ("features", "mask", "iou", "labels", "frames", "components", "track_ids")
+    for m in range(4):
+        largest = build_time_series(rows_by_frame, MAX_HISTORY, classes, m)
+        for history in range(MAX_HISTORY + 1):
+            built = build_time_series(rows_by_frame, history, classes, m)
+            prefix = largest.upto(history)
+            assert (prefix.history, prefix.num_stability) == (history, m)
+            for name in arrays:
+                assert np.array_equal(getattr(prefix, name), getattr(built, name))
 
 
 def test_rerun_produces_identical_artifacts(small_stream, tmp_path):
