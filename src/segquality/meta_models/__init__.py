@@ -3,44 +3,49 @@
 All four families (linear, gradient boosting, shallow feed-forward net,
 shallow LSTM) train deterministically from (data, spec, seed) and predict
 scores in [0, 1]: the probability of a zero-quality segment for
-classification, the clamped quality estimate for regression.
+classification, the clamped quality estimate for regression.  Each family
+is one class, and `MODELS` maps its name to it.
 """
 
-from .base import FAMILIES, TASKS, ModelSpec, TrainedModel, load_model
-from .boosting import GradientBoostingModel, load_gb, train_gb
-from .linear import LinearModel, load_linear, train_linear
-from .neural import (
-    RecurrentNetModel,
-    ShallowNetModel,
-    load_lstm,
-    load_nn,
-    train_lstm,
-    train_nn,
-)
+import json
 
-MODEL_LOADERS = {
-    "linear": load_linear,
-    "gradient_boosting": load_gb,
-    "shallow_nn": load_nn,
-    "shallow_lstm": load_lstm,
-}
+from .base import FAMILIES, MODEL_FORMAT, TASKS, ModelSpec, TrainedModel
+from .boosting import GradientBoostingModel
+from .linear import LinearModel
+from .neural import RecurrentNetModel, ShallowNetModel
 
-_TRAINERS = {
-    "linear": train_linear,
-    "gradient_boosting": train_gb,
-    "shallow_nn": train_nn,
-    "shallow_lstm": train_lstm,
+MODELS = {
+    cls.family: cls
+    for cls in (LinearModel, GradientBoostingModel, ShallowNetModel, RecurrentNetModel)
 }
 
 
 def train_model(spec: ModelSpec, train, val) -> TrainedModel:
     """Train any family; `train`/`val` are (X, y) or (X, mask, y) for the LSTM."""
-    return _TRAINERS[spec.family](train, val, spec)
+    return MODELS[spec.family].fit(train, val, spec)
+
+
+def load_model(path) -> TrainedModel:
+    """Read a model file; a malformed one raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("format") != MODEL_FORMAT:
+        raise ValueError(f"unsupported model format: {doc.get('format')}")
+    family = doc.get("family")
+    if family not in MODELS:
+        raise ValueError(f"unknown model family: {family}")
+    try:
+        return MODELS[family].from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 __all__ = [
     "FAMILIES",
     "TASKS",
+    "MODELS",
     "ModelSpec",
     "TrainedModel",
     "LinearModel",
@@ -48,9 +53,5 @@ __all__ = [
     "ShallowNetModel",
     "RecurrentNetModel",
     "train_model",
-    "train_linear",
-    "train_gb",
-    "train_nn",
-    "train_lstm",
     "load_model",
 ]

@@ -51,7 +51,9 @@ class ModelSpec:
 
 
 class TrainedModel:
-    """Base for trained meta models; each family implements raw_scores and params_dict."""
+    """Base for trained meta models; each family is one subclass with the
+    classmethods `fit(train, val, spec)` and `from_dict(doc)`, `raw_scores`
+    and `params_dict`."""
 
     family: str
 
@@ -100,15 +102,3 @@ class TrainedModel:
 def spec_metadata(spec: ModelSpec, extra: dict) -> dict:
     return {"spec": asdict(spec), **extra}
 
-
-def load_model(path) -> TrainedModel:
-    from . import MODEL_LOADERS
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format: {doc.get('format')}")
-    family = doc.get("family")
-    if family not in MODEL_LOADERS:
-        raise ValueError(f"unknown model family: {family}")
-    return MODEL_LOADERS[family](doc)

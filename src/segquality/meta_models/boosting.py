@@ -260,74 +260,69 @@ class GradientBoostingModel(TrainedModel):
             "trees": [tree.to_dict() for tree in self.trees],
         }
 
+    @classmethod
+    def fit(cls, train, val, spec: ModelSpec) -> "GradientBoostingModel":
+        X, y = (np.asarray(a, dtype=np.float64) for a in train)
+        X_val, y_val = (np.asarray(a, dtype=np.float64) for a in val)
+
+        if spec.task == "regression":
+            base = float(y.mean())
+        else:
+            rate = float(np.clip(y.mean(), _EPS, 1.0 - _EPS))
+            base = float(np.log(rate / (1.0 - rate)))
+
+        raw = np.full(len(y), base)
+        raw_val = np.full(len(y_val), base)
+        trees: list[_Tree] = []
+        val_losses = [_loss(spec.task, y_val, raw_val)]
+        ctx = _SplitContext(X, spec.min_leaf)
+        for _ in range(spec.max_rounds):
+            if spec.task == "regression":
+                grad = y - raw
+                hess = np.ones(len(y))
+            else:
+                p = expit(raw)
+                grad = y - p
+                hess = p * (1.0 - p)
+            tree, reached = _fit_tree(ctx, grad, hess, spec.tree_depth)
+            if tree.is_stump_zero:
+                break
+            raw = raw + spec.gb_learning_rate * reached
+            raw_val = raw_val + spec.gb_learning_rate * tree.apply(X_val)
+            trees.append(tree)
+            val_losses.append(_loss(spec.task, y_val, raw_val))
+
+        best_rounds = int(np.argmin(val_losses))
+        metadata = spec_metadata(
+            spec,
+            {
+                "rounds_trained": len(trees),
+                "rounds_kept": best_rounds,
+                "val_loss": val_losses[best_rounds],
+                # the boosting counterpart of logistic `converged`: validation
+                # loss was still at its best when the round budget ran out
+                "best_at_cap": best_rounds == spec.max_rounds,
+            },
+        )
+        return cls(
+            spec.task, base, trees[:best_rounds], spec.gb_learning_rate, X.shape[1], metadata
+        )
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "GradientBoostingModel":
+        params = doc["parameters"]
+        return cls(
+            doc["task"],
+            params["base_score"],
+            [_Tree.from_dict(t) for t in params["trees"]],
+            params["shrinkage"],
+            params["n_features"],
+            doc["metadata"],
+        )
+
 
 def _loss(task: str, y: np.ndarray, raw: np.ndarray) -> float:
     if task == "regression":
         return float(np.mean((y - raw) ** 2))
     p = np.clip(expit(raw), _EPS, 1.0 - _EPS)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def train_gb(train, val, spec: ModelSpec) -> GradientBoostingModel:
-    X, y = train
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    X_val, y_val = val
-    X_val = np.asarray(X_val, dtype=np.float64)
-    y_val = np.asarray(y_val, dtype=np.float64)
-
-    if spec.task == "regression":
-        base = float(y.mean())
-    else:
-        rate = float(np.clip(y.mean(), _EPS, 1.0 - _EPS))
-        base = float(np.log(rate / (1.0 - rate)))
-
-    raw = np.full(len(y), base)
-    raw_val = np.full(len(y_val), base)
-    trees: list[_Tree] = []
-    val_losses = [_loss(spec.task, y_val, raw_val)]
-    ctx = _SplitContext(X, spec.min_leaf)
-    for _ in range(spec.max_rounds):
-        if spec.task == "regression":
-            grad = y - raw
-            hess = np.ones(len(y))
-        else:
-            p = expit(raw)
-            grad = y - p
-            hess = p * (1.0 - p)
-        tree, reached = _fit_tree(ctx, grad, hess, spec.tree_depth)
-        if tree.is_stump_zero:
-            break
-        raw = raw + spec.gb_learning_rate * reached
-        raw_val = raw_val + spec.gb_learning_rate * tree.apply(X_val)
-        trees.append(tree)
-        val_losses.append(_loss(spec.task, y_val, raw_val))
-
-    best_rounds = int(np.argmin(val_losses))
-    metadata = spec_metadata(
-        spec,
-        {
-            "rounds_trained": len(trees),
-            "rounds_kept": best_rounds,
-            "val_loss": val_losses[best_rounds],
-            # the boosting counterpart of logistic `converged`: validation
-            # loss was still at its best when the round budget ran out
-            "best_at_cap": best_rounds == spec.max_rounds,
-        },
-    )
-    return GradientBoostingModel(
-        spec.task, base, trees[:best_rounds], spec.gb_learning_rate, X.shape[1], metadata
-    )
-
-
-def load_gb(doc: dict) -> GradientBoostingModel:
-    params = doc["parameters"]
-    trees = [_Tree.from_dict(t) for t in params["trees"]]
-    return GradientBoostingModel(
-        doc["task"],
-        params["base_score"],
-        trees,
-        params["shrinkage"],
-        params["n_features"],
-        doc["metadata"],
-    )

@@ -29,6 +29,33 @@ class LinearModel(TrainedModel):
     def params_dict(self) -> dict:
         return {"weights": self.weights.tolist(), "intercept": self.intercept}
 
+    @classmethod
+    def fit(cls, train, val, spec: ModelSpec) -> "LinearModel":
+        """Fit the linear meta model; the validation split is not used.
+
+        A logistic fit that does not converge warns once with a RuntimeWarning.
+        """
+        X, y = (np.asarray(a, dtype=np.float64) for a in train)
+        if spec.task == "regression":
+            weights, intercept = _fit_ridge(X, y, spec.ridge)
+            extra = {}
+        else:
+            weights, intercept, iterations, converged, max_grad = _fit_logistic(X, y, spec)
+            if not converged:
+                warnings.warn(
+                    f"logistic fit not converged after {iterations} Newton steps: "
+                    f"max |gradient| {max_grad:.3g}, gd_tol {spec.gd_tol:g}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            extra = {"iterations": iterations, "converged": converged}
+        return cls(spec.task, weights, intercept, spec_metadata(spec, extra))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "LinearModel":
+        params = doc["parameters"]
+        return cls(doc["task"], params["weights"], params["intercept"], doc["metadata"])
+
 
 def _fit_ridge(X: np.ndarray, y: np.ndarray, ridge: float):
     n, d = X.shape
@@ -93,36 +120,3 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, spec: ModelSpec):
         iterations += 1
     converged = max_grad < spec.gd_tol and iterations < spec.gd_max_iter
     return w[:-1], w[-1], iterations, converged, max_grad
-
-
-def train_linear(train, val, spec: ModelSpec) -> LinearModel:
-    """Fit the linear meta model; the validation split is not used.
-
-    A logistic fit that does not converge warns once with a RuntimeWarning.
-    """
-    X, y = train
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if spec.task == "regression":
-        weights, intercept = _fit_ridge(X, y, spec.ridge)
-        extra = {}
-    else:
-        weights, intercept, iterations, converged, max_grad = _fit_logistic(
-            X, y, spec
-        )
-        if not converged:
-            warnings.warn(
-                f"logistic fit not converged after {iterations} Newton steps: "
-                f"max |gradient| {max_grad:.3g}, gd_tol {spec.gd_tol:g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        extra = {"iterations": iterations, "converged": converged}
-    return LinearModel(spec.task, weights, intercept, spec_metadata(spec, extra))
-
-
-def load_linear(doc: dict) -> LinearModel:
-    params = doc["parameters"]
-    return LinearModel(
-        doc["task"], params["weights"], params["intercept"], doc["metadata"]
-    )

@@ -63,12 +63,41 @@ class _Adam:
             params[key] -= step
 
 
-class _FeedForwardCore:
+class _Network(TrainedModel):
+    """A network fit by `_train_loop` through its unchecked `loss` and
+    `loss_and_grad`; `params` maps names to weight arrays."""
+
+    def __init__(self, task, params: dict, metadata):
+        super().__init__(task, metadata)
+        self.params = params
+
+    def params_dict(self) -> dict:
+        return {k: v.tolist() for k, v in self.params.items()}
+
+    @classmethod
+    def fit(cls, train, val, spec: ModelSpec):
+        """Fit on (inputs..., y) splits; the rng draws the initial parameters,
+        then the epoch permutations.  The model returned is a fresh one, so it
+        holds none of the training buffers."""
+        *inputs, y = (np.asarray(a, dtype=np.float64) for a in train)
+        *val_inputs, y_val = (np.asarray(a, dtype=np.float64) for a in val)
+        rng = np.random.default_rng(spec.seed)
+        params = cls.init_params(inputs[0].shape[-1], spec.hidden_units, rng)
+        model = cls(spec.task, params, {})
+        meta = _train_loop(model, inputs, y, val_inputs, y_val, spec, rng)
+        return cls(spec.task, model.params, spec_metadata(spec, meta))
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        raw = doc["parameters"]
+        params = {k: np.asarray(v, dtype=np.float64) for k, v in raw.items() if k != "hidden"}
+        return cls(doc["task"], params, doc["metadata"])
+
+
+class ShallowNetModel(_Network):
     """One rectifier hidden layer with a scalar output head."""
 
-    def __init__(self, params: dict, task: str):
-        self.params = params
-        self.task = task
+    family = "shallow_nn"
 
     @staticmethod
     def init_params(n_features: int, hidden: int, rng: np.random.Generator) -> dict:
@@ -79,13 +108,17 @@ class _FeedForwardCore:
             "b2": np.zeros(1),
         }
 
-    def raw_scores(self, X: np.ndarray, mask=None) -> np.ndarray:
+    def raw_scores(self, features, mask=None) -> np.ndarray:
+        features = np.asarray(features, dtype=np.float64)
+        self._check_features(features, (self.params["w1"].shape[0],))
+        return self._forward(features)
+
+    def _forward(self, X: np.ndarray) -> np.ndarray:
         pre = X @ self.params["w1"] + self.params["b1"]
         return np.maximum(pre, 0.0) @ self.params["w2"] + self.params["b2"][0]
 
     def loss(self, X, y, mask=None) -> float:
-        loss, _ = _loss_and_draw(self.task, self.raw_scores(X), y)
-        return loss
+        return _loss_and_draw(self.task, self._forward(X), y)[0]
 
     def loss_and_grad(self, X, y, mask=None):
         pre = X @ self.params["w1"] + self.params["b1"]
@@ -150,21 +183,23 @@ def _accumulate(total: np.ndarray, a, b, tmp: np.ndarray, first: bool) -> None:
         total += tmp
 
 
-class _RecurrentCore:
+class RecurrentNetModel(_Network):
     """Single LSTM layer unrolled oldest-first with a scalar output head.
 
-    Steps with mask 0 are skipped: hidden and cell state pass through
-    unchanged, and no gate gradients accrue for them.
+    The hidden size is the row count of `wh`.  Steps with mask 0 are
+    skipped: hidden and cell state pass through unchanged, and no gate
+    gradients accrue for them.
 
     `loss` and `loss_and_grad` run in a workspace kept per (n, steps) and
-    return gradients in buffers kept by the core, overwritten by the next
+    return gradients in buffers kept by the model, overwritten by the next
     call; `raw_scores` runs in a fresh workspace and returns a fresh array.
     """
 
-    def __init__(self, params: dict, task: str, hidden: int):
-        self.params = params
-        self.task = task
-        self.hidden = hidden
+    family = "shallow_lstm"
+
+    def __init__(self, task, params: dict, metadata):
+        super().__init__(task, params, metadata)
+        self.hidden = params["wh"].shape[0]
         self._workspaces: dict = {}
         self._grads: dict = {}  # one buffer per parameter
         self._grad_tmp: dict = {}  # one product buffer each for wx and wh
@@ -222,14 +257,23 @@ class _RecurrentCore:
         ws.raw += self.params["b_out"][0]
         return ws.raw
 
-    def raw_scores(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        n, steps, _ = X.shape
-        return self._forward(X, mask > 0, _Workspace(n, steps, self.hidden))
+    def raw_scores(self, features, mask=None) -> np.ndarray:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 3:
+            raise ValueError("recurrent model expects (n, steps, features) input")
+        n, steps, _ = features.shape
+        self._check_features(features, (steps, self.params["wx"].shape[0]))
+        mask = np.ones((n, steps)) if mask is None else np.asarray(mask, float)
+        if mask.shape != (n, steps):
+            raise ValueError(
+                f"mask shape mismatch: expected (n, steps) = {(n, steps)}, "
+                f"got {mask.shape}"
+            )
+        return self._forward(features, mask > 0, _Workspace(n, steps, self.hidden))
 
     def loss(self, X, y, mask) -> float:
         raw = self._forward(X, mask > 0, self._workspace(*X.shape[:2]))
-        loss, _ = _loss_and_draw(self.task, raw, y)
-        return loss
+        return _loss_and_draw(self.task, raw, y)[0]
 
     def loss_and_grad(self, X, y, mask):
         n, steps, _ = X.shape
@@ -301,16 +345,26 @@ class _RecurrentCore:
             dc, dc_new = dc_new, dc
         return loss, grads
 
+    def params_dict(self) -> dict:
+        return {"hidden": self.hidden, **super().params_dict()}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RecurrentNetModel":
+        model, hidden = super().from_dict(doc), doc["parameters"]["hidden"]
+        if hidden != model.hidden:
+            raise ValueError(f"parameters.hidden is {hidden!r}, but wh has {model.hidden} rows")
+        return model
+
 
 def _train_loop(
-    core, train_inputs, y, val_inputs, y_val, spec: ModelSpec, rng: np.random.Generator
+    model, train_inputs, y, val_inputs, y_val, spec: ModelSpec, rng: np.random.Generator
 ) -> dict:
     """Mini-batch Adam with best-validation early stopping; returns metadata."""
     n = len(y)
-    optimizer = _Adam(core.params, spec.learning_rate)
-    best_params = {k: v.copy() for k, v in core.params.items()}
+    optimizer = _Adam(model.params, spec.learning_rate)
+    best_params = {k: v.copy() for k, v in model.params.items()}
     batches: dict = {}  # batch length -> one buffer per input
-    best_loss = core.loss(val_inputs[0], y_val, *val_inputs[1:])
+    best_loss = model.loss(val_inputs[0], y_val, *val_inputs[1:])
     best_epoch = 0
     since_best = 0
     epoch = 0
@@ -326,121 +380,29 @@ def _train_loop(
             for inp, out in zip(train_inputs, batch):
                 # idx is in range; mode="raise" would gather via a temporary
                 np.take(inp, idx, axis=0, out=out, mode="clip")
-            loss, grads = core.loss_and_grad(batch[0], y[idx], *batch[1:])
+            loss, grads = model.loss_and_grad(batch[0], y[idx], *batch[1:])
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss {loss} at epoch {epoch} "
-                    f"(family with {len(core.params)} parameter tensors)"
+                    f"(family with {len(model.params)} parameter tensors)"
                 )
-            optimizer.step(core.params, grads)
-        val_loss = core.loss(val_inputs[0], y_val, *val_inputs[1:])
+            optimizer.step(model.params, grads)
+        val_loss = model.loss(val_inputs[0], y_val, *val_inputs[1:])
         if not np.isfinite(val_loss):
             raise RuntimeError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_loss:
             best_loss = val_loss
             best_epoch = epoch
-            for key, value in core.params.items():
+            for key, value in model.params.items():
                 np.copyto(best_params[key], value)
             since_best = 0
         else:
             since_best += 1
             if since_best >= spec.patience:
                 break
-    core.params.update(best_params)
+    model.params.update(best_params)
     return {
         "epochs_trained": epoch,
         "best_epoch": best_epoch,
         "val_loss": best_loss,
     }
-
-
-class _NetworkModel(TrainedModel):
-    """A trained network; its core holds the parameters and computes the scores."""
-
-    def __init__(self, task, core, metadata):
-        super().__init__(task, metadata)
-        self.core = core
-
-    @property
-    def params(self):
-        return self.core.params
-
-    def params_dict(self) -> dict:
-        return {k: v.tolist() for k, v in self.params.items()}
-
-
-class ShallowNetModel(_NetworkModel):
-    family = "shallow_nn"
-
-    def __init__(self, task, params, metadata):
-        super().__init__(task, _FeedForwardCore(params, task), metadata)
-
-    def raw_scores(self, features, mask=None) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        self._check_features(features, (self.params["w1"].shape[0],))
-        return self.core.raw_scores(features)
-
-
-class RecurrentNetModel(_NetworkModel):
-    family = "shallow_lstm"
-
-    def __init__(self, task, params, hidden, metadata):
-        super().__init__(task, _RecurrentCore(params, task, hidden), metadata)
-
-    def raw_scores(self, features, mask=None) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 3:
-            raise ValueError("recurrent model expects (n, steps, features) input")
-        self._check_features(
-            features, (features.shape[1], self.params["wx"].shape[0])
-        )
-        mask = np.ones(features.shape[:2]) if mask is None else np.asarray(mask, float)
-        if mask.shape != features.shape[:2]:
-            raise ValueError(
-                f"mask shape mismatch: expected (n, steps) = {features.shape[:2]}, "
-                f"got {mask.shape}"
-            )
-        return self.core.raw_scores(features, mask)
-
-    def params_dict(self) -> dict:
-        return {"hidden": self.core.hidden, **super().params_dict()}
-
-
-def _train_network(core_cls, train, val, spec: ModelSpec, *core_args):
-    """Fit a core on (inputs..., y) splits; returns its parameters and metadata.
-
-    The rng draws the initial parameters, then the epoch permutations.
-    `core_args` follow (params, task) in the core's constructor.
-    """
-    *inputs, y = (np.asarray(a, dtype=np.float64) for a in train)
-    *val_inputs, y_val = (np.asarray(a, dtype=np.float64) for a in val)
-    rng = np.random.default_rng(spec.seed)
-    params = core_cls.init_params(inputs[0].shape[-1], spec.hidden_units, rng)
-    core = core_cls(params, spec.task, *core_args)
-    meta = _train_loop(core, inputs, y, val_inputs, y_val, spec, rng)
-    return core.params, spec_metadata(spec, meta)
-
-
-def train_nn(train, val, spec: ModelSpec):
-    params, meta = _train_network(_FeedForwardCore, train, val, spec)
-    return ShallowNetModel(spec.task, params, meta)
-
-
-def train_lstm(train, val, spec: ModelSpec):
-    hidden = spec.hidden_units
-    params, meta = _train_network(_RecurrentCore, train, val, spec, hidden)
-    return RecurrentNetModel(spec.task, params, hidden, meta)
-
-
-def _network_params(doc: dict) -> dict:
-    raw = doc["parameters"]
-    return {k: np.asarray(v, dtype=np.float64) for k, v in raw.items() if k != "hidden"}
-
-
-def load_nn(doc: dict) -> ShallowNetModel:
-    return ShallowNetModel(doc["task"], _network_params(doc), doc["metadata"])
-
-
-def load_lstm(doc: dict) -> RecurrentNetModel:
-    hidden = int(doc["parameters"]["hidden"])
-    return RecurrentNetModel(doc["task"], _network_params(doc), hidden, doc["metadata"])

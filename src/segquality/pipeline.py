@@ -84,10 +84,15 @@ def process_stream(
 
 
 def stream_segments(manifest: StreamManifest):
-    """Each frame's predicted segments, one frame at a time."""
+    """Each frame's predicted segments, one frame at a time; a softmax that
+    `extract` would refuse is refused here with the same message."""
     for frame_index in range(manifest.num_frames):
-        labels = heatmaps.predicted_labels(manifest.load_softmax(frame_index))
-        yield segmentation.connected_components(labels)
+        softmax = manifest.load_softmax(frame_index)
+        try:
+            heatmaps.check_softmax(softmax)
+        except ValueError as exc:
+            raise ValueError(f"{manifest.path(frame_index, 'softmax')}: {exc}") from None
+        yield segmentation.connected_components(heatmaps.predicted_labels(softmax))
 
 
 FEATURE_CSV_META = ("frame", "component", "class", "track_id", "iou_adj")

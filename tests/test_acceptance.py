@@ -14,7 +14,7 @@ import oracles
 from segquality import heatmaps
 from segquality.dataset import SplitSpec, build_time_series
 from segquality.evaluation import auroc, naive_baseline_accuracy, run_experiment
-from segquality.meta_models.neural import _FeedForwardCore, _RecurrentCore
+from segquality.meta_models import RecurrentNetModel, ShallowNetModel
 from segquality.pipeline import process_stream, stream_segments
 from segquality.seg_metrics import (
     BASE_FEATURE_COUNT,
@@ -277,13 +277,13 @@ def test_criterion_5_gradient_checks():
             else rng.random(5)
         )
         x = rng.standard_normal((5, 12))
-        core = _FeedForwardCore(_FeedForwardCore.init_params(12, 50, rng), task)
+        core = ShallowNetModel(task, ShallowNetModel.init_params(12, 50, rng), {})
         worst = max(worst, finite_difference_check(core, (x,), y))
 
         xs = rng.standard_normal((5, 3, 6))
         mask = np.ones((5, 3))
         mask[0, 0] = 0.0
-        lstm = _RecurrentCore(_RecurrentCore.init_params(6, 12, rng), task, 12)
+        lstm = RecurrentNetModel(task, RecurrentNetModel.init_params(6, 12, rng), {})
         worst = max(worst, finite_difference_check(lstm, (xs, mask), y))
     elapsed = time.time() - start
     assert worst <= 1e-4

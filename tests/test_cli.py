@@ -667,6 +667,8 @@ def _rescaled(data):
 
 
 _NON_FINITE = r"non-finite value at index \(0, 0, 0\)"
+_BAD_SUM = r"softmax rows deviate from sum 1 by 0\.1 .*"
+_NEGATIVE = "softmax frame has negative probabilities"
 
 
 @pytest.mark.parametrize(
@@ -675,16 +677,22 @@ _NON_FINITE = r"non-finite value at index \(0, 0, 0\)"
         ("track", "frame_00002_softmax", _first_value(float("nan")), _NON_FINITE),
         ("extract", "frame_00002_softmax", _first_value(float("nan")), _NON_FINITE),
         ("extract", "frame_00003_gt", _first_value(2.5), r"non-integral label at \(0, 0\)"),
-        ("extract", "frame_00001_softmax", _rescaled, r"softmax rows deviate from sum 1 by 0\.1 .*"),
+        ("extract", "frame_00001_softmax", _rescaled, _BAD_SUM),
+        ("track", "frame_00001_softmax", _rescaled, _BAD_SUM),
+        ("extract", "frame_00001_softmax", _first_value(-0.5), _NEGATIVE),
+        ("track", "frame_00001_softmax", _first_value(-0.5), _NEGATIVE),
     ],
-    ids=["track-nan", "extract-nan", "extract-gt", "extract-sum"],
+    ids=[
+        "track-nan", "extract-nan", "extract-gt", "extract-sum",
+        "track-sum", "extract-negative", "track-negative",
+    ],
 )
 def test_corrupt_frame_is_a_one_line_error(
     runner, clean_stream, tmp_path, command, name, corrupt, message
 ):
     """A frame that passes the manifest's size checks but holds a NaN, a
-    non-integral label or rows that do not sum to 1 ends the stage with one
-    line naming the file, not a traceback."""
+    non-integral label, a negative probability or rows that do not sum to 1
+    ends the stage with one line naming the file, not a traceback."""
     stream = tmp_path / "stream"
     shutil.copytree(clean_stream, stream)
     path = stream / f"{name}.tmsg"

@@ -115,7 +115,7 @@ def test_validate_softmax_rejects_negative():
 @pytest.mark.parametrize(
     "call",
     [
-        heatmaps._class_major,
+        heatmaps.check_softmax,
         heatmaps.dispersion_heatmaps,
         lambda probs: extract_frame(probs, None, None, 0, 0),
     ],

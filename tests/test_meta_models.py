@@ -9,22 +9,18 @@ from scipy.special import expit
 import oracles
 from segquality.meta_models import (
     FAMILIES,
+    MODELS,
     TASKS,
+    GradientBoostingModel,
+    LinearModel,
     ModelSpec,
+    RecurrentNetModel,
+    ShallowNetModel,
     load_model,
-    train_gb,
-    train_linear,
-    train_lstm,
     train_model,
-    train_nn,
 )
 from segquality.meta_models.boosting import _fit_tree, _SplitContext, _Tree
-from segquality.meta_models.neural import (
-    _FeedForwardCore,
-    _RecurrentCore,
-    _sigmoid_,
-    _train_loop,
-)
+from segquality.meta_models.neural import _sigmoid_, _train_loop
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -74,7 +70,7 @@ def test_linear_regression_recovers_slope():
     x = rng.standard_normal((200, 1))
     y = 2.5 * x[:, 0] + 0.7
     spec = ModelSpec(family="linear", task="regression", ridge=1e-6)
-    model = train_linear((x, y), (x, y), spec)
+    model = LinearModel.fit((x, y), (x, y), spec)
     assert model.weights[0] == pytest.approx(2.5, abs=1e-6)
     assert model.intercept == pytest.approx(0.7, abs=1e-6)
 
@@ -83,7 +79,7 @@ def test_linear_regression_constant_targets():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((50, 3))
     y = np.full(50, 0.42)
-    model = train_linear((x, y), (x, y), ModelSpec("linear", "regression"))
+    model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "regression"))
     assert np.abs(model.weights).max() < 1e-6
     assert model.intercept == pytest.approx(0.42, abs=1e-9)
     assert np.allclose(model.predict(x), 0.42, atol=1e-6)
@@ -93,7 +89,7 @@ def test_linear_classification_separable_reaches_full_accuracy():
     rng = np.random.default_rng(2)
     x = np.concatenate([rng.normal(-2.0, 0.3, (60, 2)), rng.normal(2.0, 0.3, (60, 2))])
     y = np.concatenate([np.zeros(60), np.ones(60)])
-    model = train_linear((x, y), (x, y), ModelSpec("linear", "classification"))
+    model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "classification"))
     scores = model.predict(x)
     assert (((scores >= 0.5) == y).mean()) == 1.0
     assert scores.min() >= 0.0 and scores.max() <= 1.0
@@ -110,7 +106,7 @@ def _noisy_logistic_problem(seed=20, n=400, d=6):
 def test_logistic_matches_scipy_minimizer_of_same_objective():
     x, y = _noisy_logistic_problem()
     spec = ModelSpec("linear", "classification", ridge=1e-3)
-    model = train_linear((x, y), (x, y), spec)
+    model = LinearModel.fit((x, y), (x, y), spec)
     weights, intercept = oracles.logistic_ridge_minimizer(x, y, spec.ridge)
     ours = np.append(model.weights, model.intercept)
     ref = np.append(weights, intercept)
@@ -120,7 +116,7 @@ def test_logistic_matches_scipy_minimizer_of_same_objective():
 def test_logistic_ends_below_gradient_tolerance_and_reports_converged():
     x, y = _noisy_logistic_problem(seed=21)
     spec = ModelSpec("linear", "classification")
-    model = train_linear((x, y), (x, y), spec)
+    model = LinearModel.fit((x, y), (x, y), spec)
     design = np.concatenate([x, np.ones((len(x), 1))], axis=1)
     w = np.append(model.weights, model.intercept)
     penalty = np.append(np.full(x.shape[1], spec.ridge), 0.0)
@@ -134,7 +130,7 @@ def test_logistic_step_cap_reports_unconverged_and_warns():
     x, y = _noisy_logistic_problem(seed=22)
     spec = ModelSpec("linear", "classification", gd_max_iter=1)
     with pytest.warns(RuntimeWarning, match="not converged after 1 Newton steps"):
-        model = train_linear((x, y), (x, y), spec)
+        model = LinearModel.fit((x, y), (x, y), spec)
     assert model.metadata["converged"] is False
     assert model.metadata["iterations"] == 1
 
@@ -145,7 +141,7 @@ def test_logistic_stops_when_no_step_decreases_objective():
     x, y = _noisy_logistic_problem(seed=25)
     spec = ModelSpec("linear", "classification", gd_tol=1e-300)
     with pytest.warns(RuntimeWarning, match="not converged"):
-        model = train_linear((x, y), (x, y), spec)
+        model = LinearModel.fit((x, y), (x, y), spec)
     assert model.metadata["converged"] is False
     assert model.metadata["iterations"] < 50
 
@@ -154,7 +150,7 @@ def test_logistic_singular_hessian_does_not_raise():
     x, y = _noisy_logistic_problem(seed=23)
     x[:, 2] = 0.0  # with ridge 0 this column makes the Hessian singular
     spec = ModelSpec("linear", "classification", ridge=0.0)
-    model = train_linear((x, y), (x, y), spec)
+    model = LinearModel.fit((x, y), (x, y), spec)
     assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
     assert model.weights[2] == pytest.approx(0.0, abs=1e-12)
     assert model.metadata["converged"] is True
@@ -164,7 +160,7 @@ def test_logistic_singular_hessian_does_not_raise():
 def test_logistic_single_class_labels_give_finite_weights(label):
     x, _ = _noisy_logistic_problem(seed=24)
     y = np.full(len(x), label)
-    model = train_linear((x, y), (x, y), ModelSpec("linear", "classification"))
+    model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "classification"))
     assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
     scores = model.predict(x)
     assert np.all(scores > 0.99) if label else np.all(scores < 0.01)
@@ -183,7 +179,7 @@ def _gb_seeded_fits(x, signal):
     for task, y in targets.items():
         min_leaf = 3 if task == "regression" else 1
         spec = ModelSpec("gradient_boosting", task, max_rounds=20, min_leaf=min_leaf)
-        model = train_gb((x[:160], y[:160]), (x[160:], y[160:]), spec)
+        model = GradientBoostingModel.fit((x[:160], y[:160]), (x[160:], y[160:]), spec)
         fits[task] = {
             "parameters": model.params_dict(),
             "metadata": {
@@ -237,7 +233,7 @@ def test_gb_best_at_cap_marks_a_fit_still_improving_at_max_rounds(max_rounds, at
     x, signal = _gb_dedup_table(31, 200)
     y = (signal > 0).astype(float)
     spec = ModelSpec("gradient_boosting", "classification", max_rounds=max_rounds)
-    model = train_gb((x[:160], y[:160]), (x[160:], y[160:]), spec)
+    model = GradientBoostingModel.fit((x[:160], y[:160]), (x[160:], y[160:]), spec)
     assert model.metadata["rounds_trained"] == max_rounds
     assert model.metadata["best_at_cap"] is at_cap
     assert (model.metadata["rounds_kept"] == max_rounds) is at_cap
@@ -268,7 +264,7 @@ def test_tree_apply_matches_per_node_walk():
     x = np.round(rng.standard_normal((150, 4)), 1)
     y = (x[:, 0] * x[:, 1] > 0).astype(float)
     spec = ModelSpec("gradient_boosting", "classification", max_rounds=15, tree_depth=4)
-    model = train_gb((x[:100], y[:100]), (x[100:], y[100:]), spec)
+    model = GradientBoostingModel.fit((x[:100], y[:100]), (x[100:], y[100:]), spec)
     probe = np.concatenate([x, np.round(rng.standard_normal((50, 4)), 1)])
     depths = set()
     for tree in model.trees:
@@ -292,7 +288,7 @@ def test_gb_single_stump_fits_step_function():
         tree_depth=1,
         gb_learning_rate=1.0,
     )
-    model = train_gb((x, y), (x, y), spec)
+    model = GradientBoostingModel.fit((x, y), (x, y), spec)
     assert np.abs(model.predict(x) - y).max() < 1e-12
 
 
@@ -300,7 +296,7 @@ def test_gb_constant_targets_predicts_base_score():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 3))
     y = np.full(30, 0.6)
-    model = train_gb((x, y), (x, y), ModelSpec("gradient_boosting", "regression"))
+    model = GradientBoostingModel.fit((x, y), (x, y), ModelSpec("gradient_boosting", "regression"))
     assert len(model.trees) == 0
     assert np.allclose(model.predict(x), 0.6)
 
@@ -310,7 +306,7 @@ def test_gb_round_selection_within_budget():
     x = rng.standard_normal((120, 4))
     y = (x[:, 0] + 0.3 * rng.standard_normal(120) > 0).astype(float)
     spec = ModelSpec("gradient_boosting", "classification", max_rounds=25)
-    model = train_gb((x[:80], y[:80]), (x[80:], y[80:]), spec)
+    model = GradientBoostingModel.fit((x[:80], y[:80]), (x[80:], y[80:]), spec)
     assert model.metadata["rounds_kept"] <= spec.max_rounds
     assert len(model.trees) == model.metadata["rounds_kept"]
 
@@ -320,7 +316,7 @@ def test_gb_learns_nonlinear_interaction():
     x = rng.uniform(-1, 1, (400, 2))
     y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(float)
     spec = ModelSpec("gradient_boosting", "classification", max_rounds=60)
-    model = train_gb((x[:300], y[:300]), (x[300:], y[300:]), spec)
+    model = GradientBoostingModel.fit((x[:300], y[:300]), (x[300:], y[300:]), spec)
     acc = (((model.predict(x[300:]) >= 0.5) == y[300:])).mean()
     assert acc > 0.95
 
@@ -330,8 +326,8 @@ def test_gb_deterministic():
     x = rng.standard_normal((100, 5))
     y = rng.random(100)
     spec = ModelSpec("gradient_boosting", "regression", max_rounds=20)
-    a = train_gb((x[:70], y[:70]), (x[70:], y[70:]), spec)
-    b = train_gb((x[:70], y[:70]), (x[70:], y[70:]), spec)
+    a = GradientBoostingModel.fit((x[:70], y[:70]), (x[70:], y[70:]), spec)
+    b = GradientBoostingModel.fit((x[:70], y[:70]), (x[70:], y[70:]), spec)
     assert a.to_dict() == b.to_dict()
 
 
@@ -349,8 +345,8 @@ def test_nn_gradients_match_finite_differences():
             if task == "classification"
             else rng.random(5)
         )
-        params = _FeedForwardCore.init_params(6, 12, rng)
-        core = _FeedForwardCore(params, task)
+        params = ShallowNetModel.init_params(6, 12, rng)
+        core = ShallowNetModel(task, params, {})
         worst = max(worst, finite_difference_check(core, (x,), y))
     assert worst <= 1e-4
 
@@ -365,7 +361,7 @@ def test_nn_zero_init_zero_targets_is_stationary():
         "b2": np.zeros(1),
     }
     spec = ModelSpec("shallow_nn", "regression", hidden_units=8, max_epochs=5)
-    core = _FeedForwardCore(zero_params, spec.task)
+    core = ShallowNetModel(spec.task, zero_params, {})
     _train_loop(core, [x], y, [x], y, spec, np.random.default_rng(spec.seed))
     assert np.allclose(core.raw_scores(x), 0.0)
     for value in core.params.values():
@@ -379,7 +375,7 @@ def test_nn_learns_xor_within_epoch_budget():
     spec = ModelSpec(
         "shallow_nn", "classification", seed=0, max_epochs=2000, patience=2000
     )
-    model = train_nn((x, y), (x, y), spec)
+    model = ShallowNetModel.fit((x, y), (x, y), spec)
     acc = (((model.predict(x) >= 0.5) == y)).mean()
     assert acc > 0.9
     assert model.metadata["epochs_trained"] <= 2000
@@ -394,7 +390,7 @@ def test_nn_nonfinite_loss_aborts_with_diagnostics():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
-            train_nn((x, y), (x, y), spec)
+            ShallowNetModel.fit((x, y), (x, y), spec)
 
 
 # ---------------------------------------------------------------- shallow lstm
@@ -413,8 +409,8 @@ def test_lstm_gradients_match_finite_differences():
             if task == "classification"
             else rng.random(5)
         )
-        params = _RecurrentCore.init_params(4, 8, rng)
-        core = _RecurrentCore(params, task, 8)
+        params = RecurrentNetModel.init_params(4, 8, rng)
+        core = RecurrentNetModel(task, params, {})
         worst = max(worst, finite_difference_check(core, (x, mask), y))
     assert worst <= 1e-4
 
@@ -425,7 +421,7 @@ def test_lstm_single_step_sequence():
     mask = np.ones((30, 1))
     y = rng.integers(0, 2, 30).astype(float)
     spec = ModelSpec("shallow_lstm", "classification", hidden_units=6, max_epochs=5)
-    model = train_lstm((x, mask, y), (x, mask, y), spec)
+    model = RecurrentNetModel.fit((x, mask, y), (x, mask, y), spec)
     scores = model.predict(x, mask)
     assert np.isfinite(scores).all()
     assert scores.min() >= 0.0 and scores.max() <= 1.0
@@ -446,7 +442,7 @@ def test_lstm_remembers_first_timestep():
         max_epochs=300,
         patience=50,
     )
-    model = train_lstm(
+    model = RecurrentNetModel.fit(
         (x[:split], mask[:split], y[:split]),
         (x[split:], mask[split:], y[split:]),
         spec,
@@ -458,8 +454,8 @@ def test_lstm_remembers_first_timestep():
 
 def test_lstm_masked_steps_carry_state():
     rng = np.random.default_rng(13)
-    params = _RecurrentCore.init_params(3, 4, rng)
-    core = _RecurrentCore(params, "regression", 4)
+    params = RecurrentNetModel.init_params(3, 4, rng)
+    core = RecurrentNetModel("regression", params, {})
     x = rng.standard_normal((2, 4, 3))
     full_mask = np.ones((2, 4))
     skip_mask = full_mask.copy()
@@ -480,7 +476,7 @@ def test_lstm_predict_rejects_mask_of_wrong_shape():
     x = rng.standard_normal((20, 2, 3))
     mask = np.ones((20, 2))
     spec = ModelSpec("shallow_lstm", "regression", hidden_units=4, max_epochs=2)
-    model = train_lstm((x, mask, rng.random(20)), (x, mask, rng.random(20)), spec)
+    model = RecurrentNetModel.fit((x, mask, rng.random(20)), (x, mask, rng.random(20)), spec)
     for bad in (np.ones((20, 3)), np.ones(20)):  # an extra column; one dimension
         with pytest.raises(ValueError, match=r"expected \(n, steps\) = \(20, 2\), got"):
             model.predict(x, bad)
@@ -525,7 +521,9 @@ def _lstm_seeded_fits():
     every row, as plain JSON data."""
     fits = {}
     for name, spec, x, mask, y in _lstm_seeded_cases():
-        model = train_lstm((x[:230], mask[:230], y[:230]), (x[230:], mask[230:], y[230:]), spec)
+        model = RecurrentNetModel.fit(
+            (x[:230], mask[:230], y[:230]), (x[230:], mask[230:], y[230:]), spec
+        )
         fits[name] = {
             "model": model.to_dict(),
             "metadata": {
@@ -571,7 +569,7 @@ def test_recorded_lstm_models_load_and_predict(tmp_path):
 def _lstm_case(rng, n, steps, dim, hidden, task, scale=1.0):
     x = rng.standard_normal((n, steps, dim)) * scale
     y = rng.integers(0, 2, n).astype(float) if task == "classification" else rng.random(n)
-    params = _RecurrentCore.init_params(dim, hidden, rng)
+    params = RecurrentNetModel.init_params(dim, hidden, rng)
     params["b"] += rng.standard_normal(4 * hidden)
     return x, y, params
 
@@ -602,7 +600,7 @@ def test_lstm_core_matches_per_step_oracle(task, n, steps, masked):
         mask[row, step] = 0.0
         x[row, step] = 0.0  # build_time_series zeroes absent slots
     want_loss, want = oracles.lstm_loss_and_grad(params, task, 6, x, y, mask)
-    core = _RecurrentCore(params, task, 6)
+    core = RecurrentNetModel(task, params, {})
     loss, grads = core.loss_and_grad(x, y, mask)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert abs(core.loss(x, y, mask) - want_loss) <= 1e-12 * abs(want_loss)
@@ -619,7 +617,7 @@ def test_lstm_workspace_reuse_matches_fresh_cores():
     rng = np.random.default_rng(31)
     dim, hidden, steps = 5, 7, 3
     _, _, params = _lstm_case(rng, 1, steps, dim, hidden, "classification")
-    core = _RecurrentCore(params, "classification", hidden)
+    core = RecurrentNetModel("classification", params, {})
     for n in (256, 104, 88, 256, 104, 88):
         x = rng.standard_normal((n, steps, dim))
         mask = (rng.random((n, steps)) > 0.3).astype(float)
@@ -627,7 +625,7 @@ def test_lstm_workspace_reuse_matches_fresh_cores():
         y = rng.integers(0, 2, n).astype(float)
         loss, grads = core.loss_and_grad(x, y, mask)
         grads = {key: val.copy() for key, val in grads.items()}
-        fresh_loss, fresh = _RecurrentCore(params, "classification", hidden).loss_and_grad(
+        fresh_loss, fresh = RecurrentNetModel("classification", params, {}).loss_and_grad(
             x, y, mask
         )
         assert loss == fresh_loss
@@ -649,10 +647,10 @@ def test_trained_lstm_holds_no_workspace():
     mask = np.ones((40, 2))
     y = rng.random(40)
     spec = ModelSpec("shallow_lstm", "regression", hidden_units=5, max_epochs=3)
-    model = train_lstm((x, mask, y), (x, mask, y), spec)
+    model = RecurrentNetModel.fit((x, mask, y), (x, mask, y), spec)
     first = model.predict(x, mask)
     model.predict(x[::-1].copy(), mask)
-    assert not model.core._workspaces and not model.core._grads
+    assert not model._workspaces and not model._grads
     assert np.array_equal(first, model.predict(x, mask))
 
 
@@ -667,11 +665,11 @@ def test_sigmoid_saturates_exactly_without_warnings():
         assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) <= 1e-15
         # gates driven to +-1000 inside the core
         hidden = 3
-        params = _RecurrentCore.init_params(2, hidden, np.random.default_rng(33))
+        params = RecurrentNetModel.init_params(2, hidden, np.random.default_rng(33))
         params["wx"][:] = 0.0
         params["wh"][:] = 0.0
         params["b"][:] = np.repeat([1000.0, -1000.0, 1000.0, -1000.0], hidden)
-        core = _RecurrentCore(params, "classification", hidden)
+        core = RecurrentNetModel("classification", params, {})
         x = np.ones((4, 2, 2))
         loss, grads = core.loss_and_grad(x, np.array([0.0, 1.0, 0.0, 1.0]), np.ones((4, 2)))
     gates = core._workspace(4, 2).gates  # (steps, 4H, n): gate blocks are rows
@@ -736,8 +734,41 @@ def test_saved_model_loads_with_equal_parameters_and_scores(tmp_path, family, ta
     path = tmp_path / "model.json"
     model.save(path)
     loaded = load_model(path)
+    assert type(model) is type(loaded) is MODELS[family]
     assert loaded.to_dict() == model.to_dict()
     assert np.array_equal(loaded.predict(*inputs), model.predict(*inputs))
+
+
+def test_registry_holds_one_class_per_family():
+    assert set(MODELS) == set(FAMILIES)
+    for family in FAMILIES:
+        assert MODELS[family].family == family
+
+
+def _saved_lstm_doc(tmp_path):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((20, 2, 3))
+    mask = np.ones((20, 2))
+    spec = ModelSpec("shallow_lstm", "regression", hidden_units=4, max_epochs=2)
+    model = RecurrentNetModel.fit((x, mask, rng.random(20)), (x, mask, rng.random(20)), spec)
+    return model.to_dict(), tmp_path / "model.json"
+
+
+def test_load_model_refuses_lstm_hidden_that_disagrees_with_wh(tmp_path):
+    doc, path = _saved_lstm_doc(tmp_path)
+    doc["parameters"]["hidden"] = 5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    want = r"model\.json: parameters\.hidden is 5, but wh has 4 rows"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
+def test_load_model_refuses_file_without_parameters(tmp_path):
+    doc, path = _saved_lstm_doc(tmp_path)
+    del doc["parameters"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model\.json: model file lacks key 'parameters'"):
+        load_model(path)
 
 
 def test_linear_and_nn_fits_equal_recorded_models():
@@ -753,7 +784,7 @@ def test_predict_scores_in_range_and_clamped():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((30, 2))
     y = rng.random(30) * 3.0  # targets beyond [0, 1] force clamping
-    model = train_linear((x, y), (x, y), ModelSpec("linear", "regression"))
+    model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "regression"))
     raw = model.raw_scores(x)
     scores = model.predict(x)
     assert raw.max() > 1.0
@@ -766,7 +797,7 @@ def test_batch_prediction_equals_rowwise():
     x = rng.standard_normal((25, 3))
     y = rng.integers(0, 2, 25).astype(float)
     spec = ModelSpec("gradient_boosting", "classification", max_rounds=15)
-    model = train_gb((x, y), (x, y), spec)
+    model = GradientBoostingModel.fit((x, y), (x, y), spec)
     batch = model.predict(x)
     rows = np.array([model.predict(x[i : i + 1])[0] for i in range(len(x))])
     assert np.array_equal(batch, rows)
@@ -776,7 +807,7 @@ def test_feature_layout_mismatch_raises():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((20, 4))
     y = rng.random(20)
-    model = train_linear((x, y), (x, y), ModelSpec("linear", "regression"))
+    model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "regression"))
     with pytest.raises(ValueError, match="layout"):
         model.predict(rng.standard_normal((5, 3)))
 
