@@ -31,7 +31,6 @@ from .pipeline import (
     write_segment_csv,
     write_tracking_csv,
 )
-from .seg_metrics import feature_names
 from .synth import SynthConfig, generate_stream
 from .tensor_io import read_manifest
 from .tracking import TrackingParams, track_stream
@@ -212,16 +211,8 @@ def train_cmd(
     spec = ModelSpec(family=family, task=task, seed=seed, max_epochs=epochs)
     table = read_dataset(dataset_path, header_path)
     split_spec = SplitSpec(sample_size=sample_size, base_seed=seed)
-    model, test, (mean, std) = fit_split(table, spec, num_stability, split_spec, run)
-    model.metadata["inputs"] = {
-        "num_stability": num_stability,
-        "history": table.history,
-        "feature_names": feature_names(table.num_classes, num_stability),
-        # test is (X, y) or (sequence, mask, y)
-        "layout": "flat+mask" if len(test) == 2 else "sequence_oldest_first",
-        "mean": mean.tolist(),
-        "std": std.tolist(),
-    }
+    model, _, inputs = fit_split(table, spec, num_stability, split_spec, run)
+    model.metadata["inputs"] = inputs
     model.save(out)
     click.echo(f"trained {family}/{task} on run {run}, saved to {out}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import MetaRecordTable, SplitSpec, split_indices, standardize
 from .meta_models import ModelSpec, train_model
-from .seg_metrics import ENTROPY_MEAN_INDEX
+from .seg_metrics import ENTROPY_MEAN_INDEX, feature_names
 
 # read by numpy's BLAS when a pool worker imports it
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -192,8 +192,9 @@ def _prepare_split(
     Each of the returned train/val/test parts has the shape `train_model`
     takes for `model_spec.family`: (features with mask columns appended, y),
     or (slots oldest first, mask oldest first, y) for the LSTM.  y is the
-    zero-IoU label or the IoU, by task.  Also returns the (mean, std) the
-    flat features were standardized with.
+    zero-IoU label or the IoU, by task.  Also returns the `inputs` a model
+    file keeps: m, T, feature names, layout name and the standardizer of the
+    flat features (before any `feature_slice`).
     """
     _check_m(num_stability, table.num_stability)
     indices = split_indices(len(table), split_spec, run)
@@ -202,9 +203,10 @@ def _prepare_split(
     y = table.labels if model_spec.task == "classification" else table.iou
     steps = table.history + 1
     dim = flat.shape[1] // steps
+    sequence = model_spec.family == "shallow_lstm"
 
     def layout(x, idx):
-        if model_spec.family == "shallow_lstm":
+        if sequence:
             seq = x.reshape(-1, steps, dim)[:, ::-1, :].copy()
             return seq, table.mask[idx][:, ::-1].copy(), y[idx]
         with_mask = np.concatenate([x, table.mask[idx]], axis=1)
@@ -213,7 +215,14 @@ def _prepare_split(
         return with_mask, y[idx]
 
     parts = tuple(layout(x, idx) for x, idx in zip(scaled, indices))
-    return parts, (mean, std)
+    return parts, {
+        "num_stability": num_stability,
+        "history": table.history,
+        "feature_names": feature_names(table.num_classes, num_stability),
+        "layout": "sequence_oldest_first" if sequence else "flat+mask",
+        "mean": mean.tolist(),
+        "std": std.tolist(),
+    }
 
 
 def fit_split(
@@ -227,12 +236,12 @@ def fit_split(
     """Train `model_spec` on split `run` of the table with m stability metrics.
 
     Returns the model, the test part in the model's input layout (targets
-    last), and the (mean, std) the flat features were standardized with.
+    last), and the inputs document of `_prepare_split`.
     """
-    (train, val, test), standardizer = _prepare_split(
+    (train, val, test), inputs = _prepare_split(
         table, model_spec, num_stability, split_spec, run, feature_slice
     )
-    return train_model(model_spec, train, val), test, standardizer
+    return train_model(model_spec, train, val), test, inputs
 
 
 def _grid_job(table: MetaRecordTable, job) -> dict[str, float]:

@@ -26,19 +26,21 @@ def train_model(spec: ModelSpec, train, val) -> TrainedModel:
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file; a malformed one raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format: {doc.get('format')}")
-    family = doc.get("family")
-    if family not in MODELS:
-        raise ValueError(f"unknown model family: {family}")
+    """Read a model file; a malformed one raises one ValueError starting with the path."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("model file's JSON document is not an object")
+        if doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"unsupported model format: {doc.get('format')}")
+        family = doc.get("family")
+        if not isinstance(family, str) or family not in MODELS:
+            raise ValueError(f"unknown model family: {family}")
         return MODELS[family].from_dict(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks key {exc}") from None
-    except ValueError as exc:
+    except ValueError as exc:  # json.JSONDecodeError is one
         raise ValueError(f"{path}: {exc}") from None
 
 

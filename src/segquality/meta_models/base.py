@@ -1,4 +1,4 @@
-"""Shared model specification, prediction contract, and JSON serialization."""
+"""Shared model specification, prediction contract, and the model file's reader and writer."""
 
 from __future__ import annotations
 
@@ -52,15 +52,22 @@ class ModelSpec:
 
 class TrainedModel:
     """Base for trained meta models; each family is one subclass with the
-    classmethods `fit(train, val, spec)` and `from_dict(doc)`, `raw_scores`
-    and `params_dict`."""
+    classmethod `fit(train, val, spec)` and `raw_scores`.
+
+    `params` holds the learned values by their names in the model file, and
+    `PARAMS` declares them once: each name maps to (kind, ndim), float or int
+    of that many dimensions, or to [mapping] for a list of entries (GB trees).
+    `to_dict` writes `params` and `from_dict` reads them, both by `PARAMS`.
+    """
 
     family: str
+    PARAMS: dict
 
-    def __init__(self, task: str, metadata: dict):
+    def __init__(self, task: str, params: dict, metadata: dict):
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
         self.task = task
+        self.params = params
         self.metadata = metadata
 
     def raw_scores(self, features, mask=None) -> np.ndarray:
@@ -81,22 +88,63 @@ class TrainedModel:
                 f"got {features.shape[1:]}"
             )
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
             "family": self.family,
             "task": self.task,
             "metadata": self.metadata,
-            "parameters": self.params_dict(),
+            # a declared key missing from `params` is a derived attribute (LSTM `hidden`)
+            "parameters": _write(self.PARAMS, {**vars(self), **self.params}),
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrainedModel":
+        """Rebuild a saved model; `_read` refuses a malformed `parameters`."""
+        return cls(doc["task"], _read(cls.PARAMS, doc["parameters"], "parameters"), doc["metadata"])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True)
             fh.write("\n")
+
+
+def _write(spec, value):
+    """`value` as JSON data by its declaration, numbers cast to their kind."""
+    if isinstance(spec, dict):
+        return {key: _write(entry, value[key]) for key, entry in spec.items()}
+    if isinstance(spec, list):
+        return [_write(spec[0], entry) for entry in value]
+    return np.asarray(value, dtype=spec[0]).tolist()
+
+
+def _read(spec, value, path: str):
+    """JSON data checked against its declaration, or a ValueError naming the key
+    path.  Numbers come back as float or int for ndim 0, else as an array; a
+    float takes a JSON integer, and bools, strings and ragged lists are refused."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be an object, got {type(value).__name__}")
+        for key in spec:
+            if key not in value:
+                raise ValueError(f"model file lacks key '{path}.{key}'")
+        return {key: _read(entry, value[key], f"{path}.{key}") for key, entry in spec.items()}
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {type(value).__name__}")
+        return [_read(spec[0], entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+    kind, ndim = spec
+    # an object array keeps each element's type; a ragged list leaves lists
+    items = np.array(value, dtype=object)
+    try:
+        if items.ndim == ndim and {type(v) for v in items.flat} <= {int, kind}:
+            numbers = items.astype(kind)
+            if np.isfinite(numbers).all():
+                return numbers if ndim else kind(numbers)
+    except OverflowError:  # an integer beyond int64 or float64
+        pass
+    what = f"a {ndim}-D list of finite {kind.__name__}s" if ndim else f"a finite {kind.__name__}"
+    raise ValueError(f"{path} must be {what}")
 
 
 def spec_metadata(spec: ModelSpec, extra: dict) -> dict:

@@ -118,12 +118,17 @@ class _SplitContext:
 class _Tree:
     """Flat-array binary tree; leaves carry additive score contributions."""
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+    NODES = {
+        "feature": (int, 1), "threshold": (float, 1), "left": (int, 1),
+        "right": (int, 1), "value": (float, 1),
+    }
+
+    def __init__(self, feature=(), threshold=(), left=(), right=(), value=()):
+        self.feature: list[int] = list(feature)
+        self.threshold: list[float] = list(threshold)
+        self.left: list[int] = list(left)
+        self.right: list[int] = list(right)
+        self.value: list[float] = list(value)
         self._arrays = None
 
     def _add_node(self) -> int:
@@ -173,23 +178,7 @@ class _Tree:
         return len(self.feature) == 1 and self.value[0] == 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "_Tree":
-        tree = cls()
-        tree.feature = [int(v) for v in doc["feature"]]
-        tree.threshold = [float(v) for v in doc["threshold"]]
-        tree.left = [int(v) for v in doc["left"]]
-        tree.right = [int(v) for v in doc["right"]]
-        tree.value = [float(v) for v in doc["value"]]
-        return tree
+        return {key: getattr(self, key) for key in self.NODES}
 
 
 def _leaf_value(grad: np.ndarray, hess: np.ndarray) -> float:
@@ -236,29 +225,22 @@ def _fit_tree(ctx: _SplitContext, grad, hess, depth: int):
 
 class GradientBoostingModel(TrainedModel):
     family = "gradient_boosting"
+    PARAMS = {
+        "base_score": (float, 0), "shrinkage": (float, 0), "n_features": (int, 0),
+        "trees": [_Tree.NODES],
+    }
 
-    def __init__(self, task, base_score, trees, shrinkage, n_features, metadata):
-        super().__init__(task, metadata)
-        self.base_score = float(base_score)
-        self.trees = trees
-        self.shrinkage = float(shrinkage)
-        self.n_features = int(n_features)
+    def __init__(self, task, params: dict, metadata):
+        super().__init__(task, params, metadata)
+        self.trees = [_Tree(**nodes) for nodes in params["trees"]]
 
     def raw_scores(self, features, mask=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
-        self._check_features(features, (self.n_features,))
-        scores = np.full(len(features), self.base_score)
+        self._check_features(features, (self.params["n_features"],))
+        scores = np.full(len(features), self.params["base_score"])
         for tree in self.trees:
-            scores += self.shrinkage * tree.apply(features)
+            scores += self.params["shrinkage"] * tree.apply(features)
         return scores
-
-    def params_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "shrinkage": self.shrinkage,
-            "n_features": self.n_features,
-            "trees": [tree.to_dict() for tree in self.trees],
-        }
 
     @classmethod
     def fit(cls, train, val, spec: ModelSpec) -> "GradientBoostingModel":
@@ -304,21 +286,13 @@ class GradientBoostingModel(TrainedModel):
                 "best_at_cap": best_rounds == spec.max_rounds,
             },
         )
-        return cls(
-            spec.task, base, trees[:best_rounds], spec.gb_learning_rate, X.shape[1], metadata
-        )
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GradientBoostingModel":
-        params = doc["parameters"]
-        return cls(
-            doc["task"],
-            params["base_score"],
-            [_Tree.from_dict(t) for t in params["trees"]],
-            params["shrinkage"],
-            params["n_features"],
-            doc["metadata"],
-        )
+        params = {
+            "base_score": base,
+            "shrinkage": float(spec.gb_learning_rate),
+            "n_features": X.shape[1],
+            "trees": [tree.to_dict() for tree in trees[:best_rounds]],
+        }
+        return cls(spec.task, params, metadata)
 
 
 def _loss(task: str, y: np.ndarray, raw: np.ndarray) -> float:

@@ -15,19 +15,12 @@ _MAX_HALVINGS = 40
 
 class LinearModel(TrainedModel):
     family = "linear"
-
-    def __init__(self, task, weights, intercept, metadata):
-        super().__init__(task, metadata)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.intercept = float(intercept)
+    PARAMS = {"weights": (float, 1), "intercept": (float, 0)}
 
     def raw_scores(self, features, mask=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
-        self._check_features(features, self.weights.shape)
-        return features @ self.weights + self.intercept
-
-    def params_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "intercept": self.intercept}
+        self._check_features(features, self.params["weights"].shape)
+        return features @ self.params["weights"] + self.params["intercept"]
 
     @classmethod
     def fit(cls, train, val, spec: ModelSpec) -> "LinearModel":
@@ -49,12 +42,8 @@ class LinearModel(TrainedModel):
                     stacklevel=2,
                 )
             extra = {"iterations": iterations, "converged": converged}
-        return cls(spec.task, weights, intercept, spec_metadata(spec, extra))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LinearModel":
-        params = doc["parameters"]
-        return cls(doc["task"], params["weights"], params["intercept"], doc["metadata"])
+        params = {"weights": weights, "intercept": float(intercept)}
+        return cls(spec.task, params, spec_metadata(spec, extra))
 
 
 def _fit_ridge(X: np.ndarray, y: np.ndarray, ridge: float):

@@ -67,13 +67,6 @@ class _Network(TrainedModel):
     """A network fit by `_train_loop` through its unchecked `loss` and
     `loss_and_grad`; `params` maps names to weight arrays."""
 
-    def __init__(self, task, params: dict, metadata):
-        super().__init__(task, metadata)
-        self.params = params
-
-    def params_dict(self) -> dict:
-        return {k: v.tolist() for k, v in self.params.items()}
-
     @classmethod
     def fit(cls, train, val, spec: ModelSpec):
         """Fit on (inputs..., y) splits; the rng draws the initial parameters,
@@ -87,17 +80,12 @@ class _Network(TrainedModel):
         meta = _train_loop(model, inputs, y, val_inputs, y_val, spec, rng)
         return cls(spec.task, model.params, spec_metadata(spec, meta))
 
-    @classmethod
-    def from_dict(cls, doc: dict):
-        raw = doc["parameters"]
-        params = {k: np.asarray(v, dtype=np.float64) for k, v in raw.items() if k != "hidden"}
-        return cls(doc["task"], params, doc["metadata"])
-
 
 class ShallowNetModel(_Network):
     """One rectifier hidden layer with a scalar output head."""
 
     family = "shallow_nn"
+    PARAMS = {"w1": (float, 2), "b1": (float, 1), "w2": (float, 1), "b2": (float, 1)}
 
     @staticmethod
     def init_params(n_features: int, hidden: int, rng: np.random.Generator) -> dict:
@@ -196,10 +184,17 @@ class RecurrentNetModel(_Network):
     """
 
     family = "shallow_lstm"
+    PARAMS = {
+        "hidden": (int, 0), "wx": (float, 2), "wh": (float, 2),
+        "b": (float, 1), "w_out": (float, 1), "b_out": (float, 1),
+    }
 
     def __init__(self, task, params: dict, metadata):
+        hidden = params.pop("hidden", None)  # only a model file holds it
         super().__init__(task, params, metadata)
         self.hidden = params["wh"].shape[0]
+        if hidden not in (None, self.hidden):
+            raise ValueError(f"parameters.hidden is {hidden!r}, but wh has {self.hidden} rows")
         self._workspaces: dict = {}
         self._grads: dict = {}  # one buffer per parameter
         self._grad_tmp: dict = {}  # one product buffer each for wx and wh
@@ -344,16 +339,6 @@ class RecurrentNetModel(_Network):
             dh, dh_prev = dh_prev, dh
             dc, dc_new = dc_new, dc
         return loss, grads
-
-    def params_dict(self) -> dict:
-        return {"hidden": self.hidden, **super().params_dict()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RecurrentNetModel":
-        model, hidden = super().from_dict(doc), doc["parameters"]["hidden"]
-        if hidden != model.hidden:
-            raise ValueError(f"parameters.hidden is {hidden!r}, but wh has {model.hidden} rows")
-        return model
 
 
 def _train_loop(

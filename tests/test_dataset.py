@@ -206,9 +206,9 @@ def test_flat_inputs_layout_and_masks():
     flat_spec = ModelSpec("linear", "regression")
     dim = feature_count(3, 2)
     flat = table.features.reshape(len(table), -1)
-    parts, (mean, std) = _prepare_split(table, flat_spec, 2, spec, 0)
+    parts, inputs = _prepare_split(table, flat_spec, 2, spec, 0)
     scaled = standardize(*(flat[idx] for idx in parts_idx))
-    assert np.array_equal(mean, scaled[3]) and np.array_equal(std, scaled[4])
+    assert np.array_equal(inputs["mean"], scaled[3]) and np.array_equal(inputs["std"], scaled[4])
     for (x, y), z, idx in zip(parts, scaled, parts_idx):
         # standardized slots, then the mask columns appended
         assert x.shape == (len(idx), 3 * dim + 3)

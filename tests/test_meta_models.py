@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import warnings
@@ -71,8 +72,8 @@ def test_linear_regression_recovers_slope():
     y = 2.5 * x[:, 0] + 0.7
     spec = ModelSpec(family="linear", task="regression", ridge=1e-6)
     model = LinearModel.fit((x, y), (x, y), spec)
-    assert model.weights[0] == pytest.approx(2.5, abs=1e-6)
-    assert model.intercept == pytest.approx(0.7, abs=1e-6)
+    assert model.params["weights"][0] == pytest.approx(2.5, abs=1e-6)
+    assert model.params["intercept"] == pytest.approx(0.7, abs=1e-6)
 
 
 def test_linear_regression_constant_targets():
@@ -80,8 +81,8 @@ def test_linear_regression_constant_targets():
     x = rng.standard_normal((50, 3))
     y = np.full(50, 0.42)
     model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "regression"))
-    assert np.abs(model.weights).max() < 1e-6
-    assert model.intercept == pytest.approx(0.42, abs=1e-9)
+    assert np.abs(model.params["weights"]).max() < 1e-6
+    assert model.params["intercept"] == pytest.approx(0.42, abs=1e-9)
     assert np.allclose(model.predict(x), 0.42, atol=1e-6)
 
 
@@ -108,7 +109,7 @@ def test_logistic_matches_scipy_minimizer_of_same_objective():
     spec = ModelSpec("linear", "classification", ridge=1e-3)
     model = LinearModel.fit((x, y), (x, y), spec)
     weights, intercept = oracles.logistic_ridge_minimizer(x, y, spec.ridge)
-    ours = np.append(model.weights, model.intercept)
+    ours = np.append(model.params["weights"], model.params["intercept"])
     ref = np.append(weights, intercept)
     assert np.abs(ours - ref).max() <= 1e-6 * np.abs(ref).max()
 
@@ -118,7 +119,7 @@ def test_logistic_ends_below_gradient_tolerance_and_reports_converged():
     spec = ModelSpec("linear", "classification")
     model = LinearModel.fit((x, y), (x, y), spec)
     design = np.concatenate([x, np.ones((len(x), 1))], axis=1)
-    w = np.append(model.weights, model.intercept)
+    w = np.append(model.params["weights"], model.params["intercept"])
     penalty = np.append(np.full(x.shape[1], spec.ridge), 0.0)
     grad = design.T @ (expit(design @ w) - y) / len(y) + penalty * w
     assert np.abs(grad).max() < spec.gd_tol
@@ -151,8 +152,8 @@ def test_logistic_singular_hessian_does_not_raise():
     x[:, 2] = 0.0  # with ridge 0 this column makes the Hessian singular
     spec = ModelSpec("linear", "classification", ridge=0.0)
     model = LinearModel.fit((x, y), (x, y), spec)
-    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
-    assert model.weights[2] == pytest.approx(0.0, abs=1e-12)
+    assert np.isfinite(model.params["weights"]).all() and np.isfinite(model.params["intercept"])
+    assert model.params["weights"][2] == pytest.approx(0.0, abs=1e-12)
     assert model.metadata["converged"] is True
 
 
@@ -161,7 +162,7 @@ def test_logistic_single_class_labels_give_finite_weights(label):
     x, _ = _noisy_logistic_problem(seed=24)
     y = np.full(len(x), label)
     model = LinearModel.fit((x, y), (x, y), ModelSpec("linear", "classification"))
-    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+    assert np.isfinite(model.params["weights"]).all() and np.isfinite(model.params["intercept"])
     scores = model.predict(x)
     assert np.all(scores > 0.99) if label else np.all(scores < 0.01)
 
@@ -181,7 +182,7 @@ def _gb_seeded_fits(x, signal):
         spec = ModelSpec("gradient_boosting", task, max_rounds=20, min_leaf=min_leaf)
         model = GradientBoostingModel.fit((x[:160], y[:160]), (x[160:], y[160:]), spec)
         fits[task] = {
-            "parameters": model.params_dict(),
+            "parameters": model.to_dict()["parameters"],
             "metadata": {
                 key: model.metadata[key]
                 for key in ("rounds_trained", "rounds_kept", "val_loss")
@@ -273,7 +274,7 @@ def test_tree_apply_matches_per_node_walk():
         depths.add(len(tree.feature))
     assert len(depths) > 1  # trees of several shapes, leaves at several depths
     leaf_only = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
-    single = _Tree.from_dict({**leaf_only, "value": [0.25]})
+    single = _Tree(**leaf_only, value=[0.25])
     assert np.array_equal(single.apply(probe), np.full(len(probe), 0.25))
     assert single.apply(probe[:0]).shape == (0,)
 
@@ -769,6 +770,77 @@ def test_load_model_refuses_file_without_parameters(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=r"model\.json: model file lacks key 'parameters'"):
         load_model(path)
+
+
+# the parameter each family's corruption cases edit, as a path into `parameters`
+_CORRUPTED_KEY = {
+    "linear": ("weights",),
+    "gradient_boosting": ("trees", 0, "threshold"),
+    "shallow_nn": ("w1",),
+    "shallow_lstm": ("wh",),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_model_json(family):
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((40, 2, 3))
+    mask = np.ones((40, 2))
+    y = (x[:, 1, 0] > 0).astype(float)
+    inputs = (x, mask) if family == "shallow_lstm" else (x[:, 1],)
+    train = tuple(a[:30] for a in (*inputs, y))
+    val = tuple(a[30:] for a in (*inputs, y))
+    spec = ModelSpec(family, "classification", max_rounds=3, hidden_units=3, max_epochs=2)
+    return json.dumps(train_model(spec, train, val).to_dict())
+
+
+def _corrupt(owner, key, case):
+    if case == "dropped":
+        del owner[key]
+    elif case == "string":
+        owner[key] = "0.5"
+    elif case == "nested":
+        owner[key] = [owner[key]]
+    else:
+        array = owner[key]
+        while isinstance(array[0], list):
+            array = array[0]
+        array[0] = {"nan": float("nan"), "infinity": float("inf"), "true": True}[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["not_object", "dropped", "string", "nested", "nan", "infinity", "true"]
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_load_model_refuses_corrupt_parameters(tmp_path, family, case):
+    doc = json.loads(_saved_model_json(family))
+    *steps, key = _CORRUPTED_KEY[family]
+    if case == "not_object":
+        doc["parameters"], name = [], "parameters"
+    else:
+        owner = doc["parameters"]
+        for step in steps:
+            owner = owner[step]
+        _corrupt(owner, key, case)
+        name = "parameters" + "".join(
+            f"[{s}]" if isinstance(s, int) else f".{s}" for s in (*steps, key)
+        )
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity tokens
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    message = str(info.value)
+    assert type(info.value) is ValueError
+    assert message.startswith(f"{path}: ") and name in message and "\n" not in message
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '"model"'])
+def test_load_model_refuses_invalid_json_and_non_object_document(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert type(info.value) is ValueError and str(info.value).startswith(f"{path}: ")
 
 
 def test_linear_and_nn_fits_equal_recorded_models():
