@@ -115,70 +115,55 @@ class _SplitContext:
         return children
 
 
-class _Tree:
-    """Flat-array binary tree; leaves carry additive score contributions."""
+# One tree as its model file entry holds it: five node lists, parents before
+# children; a leaf has feature, left and right all -1 and carries an additive
+# score contribution in `value`.
+TREE = {
+    "feature": (int, 1), "threshold": (float, 1), "left": (int, 1),
+    "right": (int, 1), "value": (float, 1),
+}
 
-    NODES = {
-        "feature": (int, 1), "threshold": (float, 1), "left": (int, 1),
-        "right": (int, 1), "value": (float, 1),
-    }
 
-    def __init__(self, feature=(), threshold=(), left=(), right=(), value=()):
-        self.feature: list[int] = list(feature)
-        self.threshold: list[float] = list(threshold)
-        self.left: list[int] = list(left)
-        self.right: list[int] = list(right)
-        self.value: list[float] = list(value)
-        self._arrays = None
+def _walk(tree: dict, n_features: int, name: str) -> tuple:
+    """The arrays `_apply` walks `tree` with, or a ValueError naming
+    `parameters.<name>`, the tree's place in the model file.
 
-    def _add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _flat_arrays(self):
-        """Node arrays for apply, built once the tree is complete.
-
-        `children[go_left * n_nodes + node]` is the next node; leaves point to
-        themselves on both sides, so a row that has reached its leaf stays
-        there.  One pass per level of the deepest leaf moves every row down.
-        """
-        if self._arrays is None:
-            leaf = np.asarray(self.feature) < 0
-            children = np.array([self.right, self.left])
-            children[:, leaf] = np.flatnonzero(leaf)
-            level = [0] * len(self.feature)
-            for node, feat in enumerate(self.feature):  # parents precede children
-                if feat >= 0:
-                    level[self.left[node]] = level[self.right[node]] = level[node] + 1
-            self._arrays = (
-                np.where(leaf, 0, self.feature),
-                np.asarray(self.threshold),
-                children.ravel(),
-                np.asarray(self.value),
-                max(level),
+    `children[go_left * n_nodes + node]` is the next node; leaves point to
+    themselves on both sides, so a row that has reached its leaf stays
+    there.  One pass per level of the deepest leaf moves every row down.
+    """
+    n_nodes = len(tree["feature"])
+    if n_nodes == 0 or any(len(tree[key]) != n_nodes for key in TREE):
+        raise ValueError(f"parameters.{name} must hold node lists of one length, at least 1")
+    feature = np.asarray(tree["feature"], dtype=np.intp)
+    children = np.array([tree["right"], tree["left"]], dtype=np.intp)
+    level = [0] * n_nodes
+    for k, (f, right, left) in enumerate(zip(feature.tolist(), *children.tolist())):
+        if 0 <= f < n_features and k < min(left, right) and max(left, right) < n_nodes:
+            for child in (left, right):  # parents precede children
+                level[child] = max(level[child], level[k] + 1)
+        elif not f == left == right == -1:
+            raise ValueError(
+                f"parameters.{name}: node {k} has feature {f}, left {left} and right {right}; a "
+                f"split needs a feature below {n_features} and children after it and below "
+                f"{n_nodes}, a leaf -1 in all three"
             )
-        return self._arrays
+    leaf = feature < 0
+    children[:, leaf] = np.flatnonzero(leaf)
+    threshold, value = (np.asarray(tree[key], dtype=np.float64) for key in ("threshold", "value"))
+    return np.where(leaf, 0, feature), threshold, children.ravel(), value, max(level)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        feature, threshold, children, value, passes = self._flat_arrays()
-        X = np.ascontiguousarray(X)
-        row_start = np.arange(len(X)) * X.shape[1]
-        node = np.zeros(len(X), dtype=np.intp)
-        for _ in range(passes):
-            go_left = X.take(row_start + feature[node]) <= threshold[node]
-            node = children.take(node + len(value) * go_left)
-        return value[node]
 
-    @property
-    def is_stump_zero(self) -> bool:
-        return len(self.feature) == 1 and self.value[0] == 0.0
-
-    def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self.NODES}
+def _apply(walk: tuple, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf value, moving all rows down one level per pass."""
+    feature, threshold, children, value, passes = walk
+    X = np.ascontiguousarray(X)
+    row_start = np.arange(len(X)) * X.shape[1]
+    node = np.zeros(len(X), dtype=np.intp)
+    for _ in range(passes):
+        go_left = X.take(row_start + feature[node]) <= threshold[node]
+        node = children.take(node + len(value) * go_left)
+    return value[node]
 
 
 def _leaf_value(grad: np.ndarray, hess: np.ndarray) -> float:
@@ -190,33 +175,34 @@ def _leaf_value(grad: np.ndarray, hess: np.ndarray) -> float:
 
 def _fit_tree(ctx: _SplitContext, grad, hess, depth: int):
     """Grow one tree; returns it with the leaf value each training row reached."""
-    tree = _Tree()
+    tree = {key: [] for key in TREE}
     reached = np.zeros(len(grad))
 
+    def add(feature=-1, threshold=0.0, value=0.0) -> int:
+        for key, entry in zip(TREE, (feature, threshold, -1, -1, value)):
+            tree[key].append(entry)
+        return len(tree["value"]) - 1
+
     def leaf(rows: np.ndarray) -> int:
-        node = tree._add_node()
-        tree.value[node] = _leaf_value(grad[rows], hess[rows])
-        reached[rows] = tree.value[node]
-        return node
+        reached[rows] = value = _leaf_value(grad[rows], hess[rows])
+        return add(value=value)
 
     def grow(order: np.ndarray, ranks: np.ndarray, level: int) -> int:
         split = ctx.best_split(order, ranks, grad) if level < depth else None
         if split is None:
             return leaf(order[ctx.lead])  # every row of order holds the same rows
-        node = tree._add_node()
         feat, thr = split
+        node = add(feat, thr)
         go_left = ctx.Xt[feat] <= thr
-        tree.feature[node] = feat
-        tree.threshold[node] = thr
         if level + 1 == depth:  # both children are leaves: no partition
             rows = order[ctx.lead]
             rows_left = go_left.take(rows)
-            tree.left[node] = leaf(rows.compress(rows_left))
-            tree.right[node] = leaf(rows.compress(~rows_left))
+            tree["left"][node] = leaf(rows.compress(rows_left))
+            tree["right"][node] = leaf(rows.compress(~rows_left))
             return node
         (order_l, ranks_l), (order_r, ranks_r) = ctx.partition(order, ranks, go_left)
-        tree.left[node] = grow(order_l, ranks_l, level + 1)
-        tree.right[node] = grow(order_r, ranks_r, level + 1)
+        tree["left"][node] = grow(order_l, ranks_l, level + 1)
+        tree["right"][node] = grow(order_r, ranks_r, level + 1)
         return node
 
     grow(ctx.order, ctx.ranks, 0)
@@ -227,19 +213,23 @@ class GradientBoostingModel(TrainedModel):
     family = "gradient_boosting"
     PARAMS = {
         "base_score": (float, 0), "shrinkage": (float, 0), "n_features": (int, 0),
-        "trees": [_Tree.NODES],
+        "trees": [TREE],
     }
 
     def __init__(self, task, params: dict, metadata):
         super().__init__(task, params, metadata)
-        self.trees = [_Tree(**nodes) for nodes in params["trees"]]
+        # derived once per model, so repeated scoring does not re-derive them
+        self._walks = [
+            _walk(tree, params["n_features"], f"trees[{i}]")
+            for i, tree in enumerate(params["trees"])
+        ]
 
     def raw_scores(self, features, mask=None) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         self._check_features(features, (self.params["n_features"],))
         scores = np.full(len(features), self.params["base_score"])
-        for tree in self.trees:
-            scores += self.params["shrinkage"] * tree.apply(features)
+        for walk in self._walks:
+            scores += self.params["shrinkage"] * _apply(walk, features)
         return scores
 
     @classmethod
@@ -255,7 +245,7 @@ class GradientBoostingModel(TrainedModel):
 
         raw = np.full(len(y), base)
         raw_val = np.full(len(y_val), base)
-        trees: list[_Tree] = []
+        trees: list[dict] = []
         val_losses = [_loss(spec.task, y_val, raw_val)]
         ctx = _SplitContext(X, spec.min_leaf)
         for _ in range(spec.max_rounds):
@@ -267,10 +257,11 @@ class GradientBoostingModel(TrainedModel):
                 grad = y - p
                 hess = p * (1.0 - p)
             tree, reached = _fit_tree(ctx, grad, hess, spec.tree_depth)
-            if tree.is_stump_zero:
+            if tree["value"] == [0.0]:  # a lone zero leaf: boosting has stalled
                 break
+            walk = _walk(tree, X.shape[1], f"trees[{len(trees)}]")
             raw = raw + spec.gb_learning_rate * reached
-            raw_val = raw_val + spec.gb_learning_rate * tree.apply(X_val)
+            raw_val = raw_val + spec.gb_learning_rate * _apply(walk, X_val)
             trees.append(tree)
             val_losses.append(_loss(spec.task, y_val, raw_val))
 
@@ -290,7 +281,7 @@ class GradientBoostingModel(TrainedModel):
             "base_score": base,
             "shrinkage": float(spec.gb_learning_rate),
             "n_features": X.shape[1],
-            "trees": [tree.to_dict() for tree in trees[:best_rounds]],
+            "trees": trees[:best_rounds],
         }
         return cls(spec.task, params, metadata)
 

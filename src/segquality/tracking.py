@@ -313,13 +313,8 @@ def track_frame(
         return by_segment[bounds[i] : bounds[i + 1]]
 
     # Step 1: same-frame grouping of nearby same-class segments (transitive).
+    # each root is set once, to a segment that is its own root: no chains
     root = list(range(len(segments)))
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
     processed: list[int] = []
     rank = {idx: pos for pos, idx in enumerate(order)}
     boxes: dict[int, tuple[int, int, int, int]] = {}
@@ -354,12 +349,12 @@ def track_frame(
             if best is None or key < best[0]:
                 best = (key, other)
         if best is not None:
-            root[idx] = find(best[1])
+            root[idx] = root[best[1]]
         processed.append(idx)
 
     members: dict[int, list[int]] = {}
     for idx in order:
-        members.setdefault(find(idx), []).append(idx)
+        members.setdefault(root[idx], []).append(idx)
     groups = [
         _make_group(r, classes[r], np.concatenate([pixels(i) for i in m]), width)
         for r, m in members.items()

@@ -20,7 +20,7 @@ from segquality.meta_models import (
     load_model,
     train_model,
 )
-from segquality.meta_models.boosting import _fit_tree, _SplitContext, _Tree
+from segquality.meta_models.boosting import _apply, _fit_tree, _SplitContext, _walk
 from segquality.meta_models.neural import _sigmoid_, _train_loop
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -256,7 +256,7 @@ def test_fit_tree_matches_brute_force_split_search(depth, min_leaf):
         for grad, hess in gradients:
             tree, reached = _fit_tree(ctx, grad, hess, depth)
             expected = oracles.grow_tree(x, grad, hess, depth, min_leaf)
-            assert tree.to_dict() == expected
+            assert tree == expected
             assert np.array_equal(reached, oracles.tree_apply(expected, x))
 
 
@@ -268,15 +268,15 @@ def test_tree_apply_matches_per_node_walk():
     model = GradientBoostingModel.fit((x[:100], y[:100]), (x[100:], y[100:]), spec)
     probe = np.concatenate([x, np.round(rng.standard_normal((50, 4)), 1)])
     depths = set()
-    for tree in model.trees:
-        expected = oracles.tree_apply(tree.to_dict(), probe)
-        assert np.array_equal(tree.apply(probe), expected)
-        depths.add(len(tree.feature))
+    for tree in model.params["trees"]:
+        expected = oracles.tree_apply(tree, probe)
+        assert np.array_equal(_apply(_walk(tree, 4, "tree"), probe), expected)
+        depths.add(len(tree["feature"]))
     assert len(depths) > 1  # trees of several shapes, leaves at several depths
     leaf_only = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
-    single = _Tree(**leaf_only, value=[0.25])
-    assert np.array_equal(single.apply(probe), np.full(len(probe), 0.25))
-    assert single.apply(probe[:0]).shape == (0,)
+    single = _walk({**leaf_only, "value": [0.25]}, 4, "tree")
+    assert np.array_equal(_apply(single, probe), np.full(len(probe), 0.25))
+    assert _apply(single, probe[:0]).shape == (0,)
 
 
 def test_gb_single_stump_fits_step_function():
@@ -298,7 +298,7 @@ def test_gb_constant_targets_predicts_base_score():
     x = rng.standard_normal((30, 3))
     y = np.full(30, 0.6)
     model = GradientBoostingModel.fit((x, y), (x, y), ModelSpec("gradient_boosting", "regression"))
-    assert len(model.trees) == 0
+    assert len(model.params["trees"]) == 0
     assert np.allclose(model.predict(x), 0.6)
 
 
@@ -309,7 +309,7 @@ def test_gb_round_selection_within_budget():
     spec = ModelSpec("gradient_boosting", "classification", max_rounds=25)
     model = GradientBoostingModel.fit((x[:80], y[:80]), (x[80:], y[80:]), spec)
     assert model.metadata["rounds_kept"] <= spec.max_rounds
-    assert len(model.trees) == model.metadata["rounds_kept"]
+    assert len(model.params["trees"]) == model.metadata["rounds_kept"]
 
 
 def test_gb_learns_nonlinear_interaction():
@@ -841,6 +841,38 @@ def test_load_model_refuses_invalid_json_and_non_object_document(tmp_path, text)
     with pytest.raises(ValueError) as info:
         load_model(path)
     assert type(info.value) is ValueError and str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "child_beyond_nodes", "feature_beyond_inputs", "earlier_child", "leaf_with_child",
+        "short_value", "no_nodes",
+    ],
+)
+def test_load_model_refuses_gb_tree_of_broken_structure(tmp_path, case):
+    doc = json.loads(_saved_model_json("gradient_boosting"))
+    tree = doc["parameters"]["trees"][0]
+    assert min(tree["feature"][:2]) >= 0 and tree["feature"][2] == -1  # split, split, leaf
+    if case == "child_beyond_nodes":
+        tree["left"][0] = 99
+    elif case == "feature_beyond_inputs":
+        tree["feature"][0] = doc["parameters"]["n_features"]
+    elif case == "earlier_child":
+        tree["left"][1] = 0
+    elif case == "leaf_with_child":
+        tree["left"][2] = 3
+    elif case == "short_value":
+        tree["value"].pop()
+    else:
+        doc["parameters"]["trees"][0] = {key: [] for key in tree}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    message = str(info.value)
+    assert type(info.value) is ValueError
+    assert message.startswith(f"{path}: parameters.trees[0]") and "\n" not in message
 
 
 def test_linear_and_nn_fits_equal_recorded_models():
